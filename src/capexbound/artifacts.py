@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Optional
 
 import numpy as np
 
@@ -30,6 +29,10 @@ def write_boundary_csv(path: str, curve: BoundaryCurve, model_hash: str, seed: i
         fh.write("\n".join(lines) + "\n")
 
 
+class BoundaryFileError(ValueError):
+    """A boundary file is missing, malformed, or belongs to another model or grid."""
+
+
 class BoundaryFile:
     def __init__(self, t, yhat, residual, residual_se, iters, model_hash, seed):
         self.t = t
@@ -44,22 +47,29 @@ class BoundaryFile:
 def read_boundary_csv(path: str) -> BoundaryFile:
     meta = {}
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                meta[key.strip()] = val.strip()
-            elif line.startswith("t,"):
-                continue
-            else:
-                rows.append(line.split(","))
-    data = np.asarray(rows, dtype=float)
-    return BoundaryFile(data[:, 0], data[:, 1], data[:, 2], data[:, 3],
-                        data[:, 4].astype(int), meta.get("model_hash", ""),
-                        int(meta.get("seed", 0)))
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    key, _, val = line[1:].strip().partition("=")
+                    meta[key.strip()] = val.strip()
+                elif line.startswith("t,"):
+                    continue
+                else:
+                    rows.append(line.split(","))
+        data = np.asarray(rows, dtype=float)
+        t, yhat, residual, residual_se, iters = (data[:, k] for k in range(5))
+        seed = int(meta.get("seed", 0))
+    except (OSError, ValueError, IndexError) as exc:
+        raise BoundaryFileError(f"cannot read boundary file {path}: {exc}") from exc
+    if not (np.all(np.isfinite(yhat) & (yhat > 0)) and np.all(np.isfinite(iters))):
+        raise BoundaryFileError(f"{path}: boundary values must be positive and finite, "
+                                "iteration counts finite")
+    return BoundaryFile(t, yhat, residual, residual_se, iters.astype(int),
+                        meta.get("model_hash", ""), seed)
 
 
 def write_controls_csv(path: str, grid: TimeGrid, plans, capacity: np.ndarray,

@@ -22,7 +22,7 @@ Discretization conventions, shared with the policy and verification modules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -37,12 +37,7 @@ from .model import (
     discount_step_masses,
     validate,
 )
-from .paths import (
-    MEASURE_Q,
-    PathBatch,
-    gaussian_matrix,
-    values_from_normals,
-)
+from .paths import MEASURE_Q, PathBatch, mean_and_se, running_sup_matrix, sample_decay
 from .production import reduced_marginal_array
 
 
@@ -135,9 +130,7 @@ class _NodeResidual:
         # columns see only the candidate itself
         sup = np.full_like(decay, -np.inf)
         if future.size:
-            ratios = future[None, :] / decay[:, 1:m]
-            np.maximum.accumulate(ratios, axis=1, out=ratios)
-            sup[:, 2:] = ratios
+            sup[:, 2:] = running_sup_matrix(decay[:, 1:], future)
         self.future_sup = sup
         self._fast = self._build_fast_path()
 
@@ -184,12 +177,7 @@ class _NodeResidual:
     def __call__(self, candidate: float) -> tuple[float, float]:
         if candidate <= 0:
             raise ValueError("candidate boundary level must be positive")
-        vals = self.per_path(candidate)
-        if self.antithetic:
-            h = vals.size // 2
-            vals = 0.5 * (vals[:h] + vals[h:])
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
+        mean, se = mean_and_se(self.per_path(candidate), self.antithetic)
         return mean - self.inv_fc, se
 
 
@@ -266,24 +254,6 @@ def _bisect_node(ev: _NodeResidual, guess: float, tol_rel: float, cfg: SolverCon
     return root, iters, float(root_unc), float(value_unc)
 
 
-def _decay_cumprod(coeffs: CoefficientSet, n_paths: int, seed: int, purpose: str,
-                   antithetic: bool) -> np.ndarray:
-    """Full-horizon decay factors under Q with common random numbers.
-
-    One Gaussian matrix drives every node: the sub-path from node i is the
-    column slice rescaled to start at one, so neighbouring nodes share noise
-    and the solved curve varies smoothly in time.
-    """
-    n = coeffs.grid.n_steps
-    if antithetic:
-        half = (n_paths + 1) // 2
-        z = gaussian_matrix(seed, purpose, 0, (half, n))
-        normals = np.concatenate([z, -z], axis=0)
-    else:
-        normals = gaussian_matrix(seed, purpose, 0, (n_paths, n))
-    return values_from_normals(coeffs, 0, normals, MEASURE_Q)
-
-
 def solve_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
                    mc: McConfig = McConfig(), solver: SolverConfig = SolverConfig(),
                    allow_zero_scrap: bool = False, run_validation: bool = True,
@@ -300,11 +270,8 @@ def solve_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpe
     """
     report = _gate_assumptions(coeffs, prod, scrap, allow_zero_scrap, run_validation)
     if coeffs.is_sigma_zero() and not force_mc:
-        return _solve_backward(coeffs, prod, scrap, None, solver, solver.tol_rel_det,
-                               report, mc_meta=None)
-    return _solve_backward(coeffs, prod, scrap, mc, solver, solver.tol_rel, report,
-                           mc_meta={"n_paths": mc.n_paths, "seed": mc.seed,
-                                    "antithetic": mc.antithetic})
+        mc = None
+    return _solve_backward(coeffs, prod, scrap, mc, solver, report)
 
 
 def deterministic_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
@@ -314,16 +281,17 @@ def deterministic_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: 
     """Boundary for a volatility-free instance: single deterministic path."""
     if not coeffs.is_sigma_zero():
         raise ValueError("deterministic boundary requires sigma identically zero")
-    report = _gate_assumptions(coeffs, prod, scrap, allow_zero_scrap, run_validation)
-    return _solve_backward(coeffs, prod, scrap, None, solver, solver.tol_rel_det,
-                           report, mc_meta=None)
+    return solve_boundary(coeffs, prod, scrap, solver=solver,
+                          allow_zero_scrap=allow_zero_scrap, run_validation=run_validation)
 
 
 def _solve_backward(coeffs, prod, scrap, mc: Optional[McConfig], solver: SolverConfig,
-                    tol_rel: float, report, mc_meta) -> BoundaryCurve:
+                    report) -> BoundaryCurve:
+    """Backward induction; ``mc`` None selects the single deterministic path."""
     grid = coeffs.grid
     n = grid.n_steps
     deterministic = mc is None
+    tol_rel = solver.tol_rel_det if deterministic else solver.tol_rel
     if deterministic:
         # sigma = 0: the decay factor is the plain exponential of -int mu_C
         log_cp = np.concatenate([[0.0], np.cumsum(-coeffs.drift_steps(0))])
@@ -331,8 +299,11 @@ def _solve_backward(coeffs, prod, scrap, mc: Optional[McConfig], solver: SolverC
         cp_audit = cp_solve
         antithetic = False
     else:
-        cp_solve = _decay_cumprod(coeffs, mc.n_paths, mc.seed, "solve", mc.antithetic)
-        cp_audit = _decay_cumprod(coeffs, mc.n_paths, mc.seed, "audit", mc.antithetic)
+        # one Gaussian matrix per purpose drives every node: the sub-path from
+        # node i is the column slice rescaled to start at one, so neighbouring
+        # nodes share noise and the solved curve varies smoothly in time
+        cp_solve = sample_decay(coeffs, 0, mc.n_paths, MEASURE_Q, mc.seed, "solve", mc.antithetic)
+        cp_audit = sample_decay(coeffs, 0, mc.n_paths, MEASURE_Q, mc.seed, "audit", mc.antithetic)
         antithetic = mc.antithetic
 
     yhat = np.empty(n)
@@ -362,7 +333,7 @@ def _solve_backward(coeffs, prod, scrap, mc: Optional[McConfig], solver: SolverC
     meta = {
         "tol_rel": tol_rel,
         "deterministic": deterministic,
-        "mc": mc_meta,
+        "mc": None if deterministic else asdict(mc),
         "efficiency_ok": None if report is None else report.efficiency_ok,
     }
     return BoundaryCurve(grid, yhat, res, res_se, solver_se, iters, value_se, meta)

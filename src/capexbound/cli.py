@@ -2,7 +2,8 @@
 
 Commands: solve, simulate, verify, oracle.  Exit codes form a stable
 contract: 0 success, 2 config parse error, 3 assumption violation, 4 solver
-non-convergence, 5 grid or hash mismatch, 6 verification failure.
+non-convergence, 5 unreadable boundary file or grid or hash mismatch,
+6 verification failure.
 Set CAPEX_LOG to DEBUG/INFO/WARNING for progress on stderr.
 """
 
@@ -22,15 +23,15 @@ from .boundary import (
     BracketError,
     ConvergenceError,
     McConfig,
-    deterministic_boundary,
     solve_boundary,
 )
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, checked_mc, load_config
 from .model import AssumptionError, validate
 from .paths import MEASURE_P, simulate
 from .policy import build_controls, constant_rate_plan, controlled_capacity, profit, zero_plan
 from .verify import (
     Lattice,
+    LatticeRangeError,
     check_foc,
     cross_validate,
     dp_stopping_value,
@@ -54,47 +55,35 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load(args) -> RunConfig:
-    return load_config(args.config)
-
-
 def _mc(cfg: RunConfig, args) -> McConfig:
     seed = cfg.mc.seed if getattr(args, "seed", None) is None else args.seed
     paths = cfg.mc.n_paths if getattr(args, "paths", None) is None else args.paths
-    return McConfig(n_paths=paths, seed=seed, antithetic=cfg.mc.antithetic)
+    return checked_mc(paths, seed, cfg.mc.antithetic)
 
 
-def _check_boundary_file(bfile, cfg: RunConfig) -> None:
+def _curve_from_file(path: str, cfg: RunConfig) -> BoundaryCurve:
+    """Read a boundary file and check that it was solved for this model and grid."""
+    bfile = artifacts.read_boundary_csv(path)
     if bfile.model_hash != cfg.model_hash:
-        raise _Mismatch("boundary file was produced from a different model "
-                        f"(hash {bfile.model_hash[:12]} vs {cfg.model_hash[:12]})")
+        raise artifacts.BoundaryFileError(
+            "boundary file was produced from a different model "
+            f"(hash {bfile.model_hash[:12]} vs {cfg.model_hash[:12]})")
     if bfile.t.size != cfg.grid.n_steps or not np.allclose(bfile.t, cfg.grid.nodes[:-1]):
-        raise _Mismatch("boundary file grid does not match the config grid")
-
-
-class _Mismatch(RuntimeError):
-    pass
-
-
-def _curve_from_file(bfile, cfg: RunConfig) -> BoundaryCurve:
+        raise artifacts.BoundaryFileError("boundary file grid does not match the config grid")
     return BoundaryCurve(cfg.grid, bfile.yhat, bfile.residual, bfile.residual_se,
                          np.zeros_like(bfile.yhat), bfile.iters, meta={"loaded": True})
 
 
 def cmd_solve(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     mc = _mc(cfg, args)
     artifacts.ensure_dir(args.out)
     t0 = time.perf_counter()
-    if cfg.coeffs.is_sigma_zero():
-        log.info("sigma is identically zero: deterministic quadrature path")
-        curve = deterministic_boundary(cfg.coeffs, cfg.production, cfg.scrap,
-                                       solver=cfg.solver,
-                                       allow_zero_scrap=args.allow_zero_scrap)
-    else:
-        curve = solve_boundary(cfg.coeffs, cfg.production, cfg.scrap, mc=mc,
-                               solver=cfg.solver, allow_zero_scrap=args.allow_zero_scrap)
+    curve = solve_boundary(cfg.coeffs, cfg.production, cfg.scrap, mc=mc,
+                           solver=cfg.solver, allow_zero_scrap=args.allow_zero_scrap)
     elapsed = time.perf_counter() - t0
+    if curve.meta["deterministic"]:
+        log.info("sigma is identically zero: deterministic quadrature path")
     out_csv = os.path.join(args.out, "boundary.csv")
     artifacts.write_boundary_csv(out_csv, curve, cfg.model_hash, mc.seed)
     artifacts.write_manifest(os.path.join(args.out, "manifest.json"), {
@@ -103,7 +92,6 @@ def cmd_solve(args) -> int:
         "model_hash": cfg.model_hash,
         "seed": mc.seed,
         "paths": mc.n_paths,
-        "threads": args.threads,
         "tolerances": {"tol_y": cfg.solver.tol_rel, "tol_y_det": cfg.solver.tol_rel_det},
         "timings": {"solve_s": elapsed},
         "outputs": ["boundary.csv"],
@@ -119,10 +107,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load(args)
-    bfile = artifacts.read_boundary_csv(args.boundary)
-    _check_boundary_file(bfile, cfg)
-    curve = _curve_from_file(bfile, cfg)
+    cfg = load_config(args.config)
+    curve = _curve_from_file(args.boundary, cfg)
     mc = _mc(cfg, args)
     artifacts.ensure_dir(args.out)
     t0 = time.perf_counter()
@@ -150,7 +136,6 @@ def cmd_simulate(args) -> int:
         "model_hash": cfg.model_hash,
         "seed": mc.seed,
         "paths": mc.n_paths,
-        "threads": args.threads,
         "y": args.y,
         "timings": {"simulate_s": elapsed},
         "outputs": outputs,
@@ -169,8 +154,7 @@ def cmd_simulate(args) -> int:
 
 def _default_lattice(cfg: RunConfig, curve: BoundaryCurve) -> Lattice:
     if cfg.lattice is not None:
-        return Lattice.geometric(cfg.grid, cfg.lattice["y_min"], cfg.lattice["y_max"],
-                                 cfg.lattice["nodes"])
+        return cfg.lattice
     lo = float(np.min(curve.values)) / 8.0
     spread = float(np.exp(4.0 * np.max(cfg.coeffs.sigma) * np.sqrt(cfg.grid.horizon)))
     hi = float(np.max(curve.values)) * max(4.0, spread)
@@ -178,10 +162,8 @@ def _default_lattice(cfg: RunConfig, curve: BoundaryCurve) -> Lattice:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load(args)
-    bfile = artifacts.read_boundary_csv(args.boundary)
-    _check_boundary_file(bfile, cfg)
-    curve = _curve_from_file(bfile, cfg)
+    cfg = load_config(args.config)
+    curve = _curve_from_file(args.boundary, cfg)
     mc = _mc(cfg, args)
     artifacts.ensure_dir(args.out)
     report = validate(cfg.coeffs, cfg.production, cfg.scrap)
@@ -228,16 +210,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     artifacts.ensure_dir(args.out)
     if args.boundary:
-        bfile = artifacts.read_boundary_csv(args.boundary)
-        _check_boundary_file(bfile, cfg)
-        curve = _curve_from_file(bfile, cfg)
+        curve = _curve_from_file(args.boundary, cfg)
         lattice = _default_lattice(cfg, curve)
     elif cfg.lattice is not None:
-        lattice = Lattice.geometric(cfg.grid, cfg.lattice["y_min"], cfg.lattice["y_max"],
-                                    cfg.lattice["nodes"])
+        lattice = cfg.lattice
     else:
         raise ConfigError("oracle needs a lattice section or a boundary file")
     t0 = time.perf_counter()
@@ -274,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker cap (results are identical for any value)")
         sp.add_argument("--seed", type=int, default=None, help="override mc.seed")
 
     sp = sub.add_parser("solve", help="solve the exercise boundary")
@@ -316,7 +293,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, LatticeRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (AssumptionError, BracketError) as exc:
@@ -325,8 +302,8 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NOCONV
-    except _Mismatch as exc:
-        print(f"mismatch: {exc}", file=sys.stderr)
+    except artifacts.BoundaryFileError as exc:
+        print(f"boundary file error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
 
 

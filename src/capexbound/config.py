@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -22,6 +23,7 @@ from .model import (
     ZeroScrap,
     power_marginal,
 )
+from .verify import Lattice
 
 
 class ConfigError(ValueError):
@@ -37,6 +39,8 @@ _LATTICE_KEYS = {"y_min", "y_max", "nodes"}
 
 
 def _require_keys(section: str, data: dict, allowed: set, required: set = frozenset()):
+    if not isinstance(data, dict):
+        raise ConfigError(f"section '{section}': expected an object")
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"section '{section}': unknown keys {sorted(unknown)}")
@@ -54,18 +58,32 @@ class RunConfig:
     scrap: object
     solver: SolverConfig
     mc: McConfig
-    lattice: Optional[dict]
+    lattice: Optional[Lattice]
     cross_gap: float
 
     @property
     def config_hash(self) -> str:
         return _digest(self.raw)
 
-    @property
+    @cached_property
     def model_hash(self) -> str:
-        model_part = {k: self.raw[k] for k in ("grid", "coefficients", "production", "scrap")
-                      if k in self.raw}
-        return _digest(model_part)
+        """Digest of the parsed model, so JSON spelling (1 vs 1.0) cannot change it."""
+        c = self.coeffs
+        return _digest({
+            "grid": self.grid.nodes.tolist(),
+            "coefficients": {k: getattr(c, k).tolist() for k in
+                             ("mu_C", "sigma", "f_C", "mu_F", "w", "r", "f_C_prime")},
+            "eps_o": c.eps_o,
+            "bounds": c.bounds,
+            "production": _spec_numbers(self.production),
+            "scrap": _spec_numbers(self.scrap),
+        })
+
+
+def _spec_numbers(spec) -> dict:
+    numbers = {f.name: getattr(spec, f.name) for f in fields(spec)
+               if isinstance(getattr(spec, f.name), float)}
+    return {"variant": type(spec).__name__, **numbers}
 
 
 def _digest(obj) -> str:
@@ -92,15 +110,17 @@ def parse_config(raw: dict) -> RunConfig:
     _require_keys("grid", gsec, {"T", "N"}, {"T", "N"})
     try:
         grid = TimeGrid.uniform(float(gsec["T"]), int(gsec["N"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
+    _require_keys("coefficients", raw["coefficients"], _COEFF_KEYS,
+                  {"mu_C", "sigma", "f_C", "mu_F", "w", "r"})
     csec = dict(raw["coefficients"])
-    _require_keys("coefficients", csec, _COEFF_KEYS, {"mu_C", "sigma", "f_C", "mu_F", "w", "r"})
     bounds = csec.pop("bounds", None)
     if bounds is not None:
         _require_keys("coefficients.bounds", bounds, _BOUND_KEYS)
-    eps_o = float(csec.pop("eps_o", 1e-6))
+        bounds = {k: _number("coefficients.bounds", k, v, float) for k, v in bounds.items()}
+    eps_o = _number("coefficients", "eps_o", csec.pop("eps_o", 1e-6), float)
     f_C_prime = csec.pop("f_C_prime", None)
     arrays = {}
     for name in ("mu_C", "sigma", "f_C", "mu_F", "w", "r"):
@@ -113,31 +133,50 @@ def parse_config(raw: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"coefficients: {exc}") from exc
 
-    production = _parse_production(raw["production"])
-    scrap = _parse_scrap(raw["scrap"])
+    production = _parse_variant("production", raw["production"])
+    scrap = _parse_variant("scrap", raw["scrap"])
 
     tsec = raw.get("tolerances", {})
     _require_keys("tolerances", tsec, _TOL_KEYS)
-    defaults = SolverConfig()
-    solver = SolverConfig(tol_rel=float(tsec.get("tol_y", defaults.tol_rel)),
-                          tol_rel_det=float(tsec.get("tol_y_det", defaults.tol_rel_det)),
-                          max_iter=int(tsec.get("max_iter", defaults.max_iter)))
-    cross_gap = float(tsec.get("cross_gap", 0.10))
+    d = SolverConfig()
+    tol = {"tol_y": d.tol_rel, "tol_y_det": d.tol_rel_det, "max_iter": d.max_iter,
+           "cross_gap": 0.10}
+    tol = {k: _number("tolerances", k, tsec.get(k, v), type(v)) for k, v in tol.items()}
+    solver = SolverConfig(tol_rel=tol["tol_y"], tol_rel_det=tol["tol_y_det"],
+                          max_iter=tol["max_iter"])
 
     msec = raw.get("mc", {})
     _require_keys("mc", msec, _MC_KEYS)
-    mc = McConfig(n_paths=int(msec.get("paths", 20000)),
-                  seed=int(msec.get("seed", 0)),
-                  antithetic=bool(msec.get("antithetic", True)))
+    mc = checked_mc(_number("mc", "paths", msec.get("paths", 20000), int),
+                    _number("mc", "seed", msec.get("seed", 0), int),
+                    bool(msec.get("antithetic", True)))
 
-    lsec = raw.get("lattice")
-    if lsec is not None:
-        _require_keys("lattice", lsec, _LATTICE_KEYS, {"y_min", "y_max"})
-        lsec = {"y_min": float(lsec["y_min"]), "y_max": float(lsec["y_max"]),
-                "nodes": int(lsec.get("nodes", 200))}
+    lattice = raw.get("lattice")
+    if lattice is not None:
+        _require_keys("lattice", lattice, _LATTICE_KEYS, {"y_min", "y_max"})
+        y_range = [_number("lattice", k, lattice[k], float) for k in ("y_min", "y_max")]
+        nodes = _number("lattice", "nodes", lattice.get("nodes", 200), int)
+        try:
+            lattice = Lattice.geometric(grid, *y_range, nodes)
+        except ValueError as exc:
+            raise ConfigError(f"lattice: {exc}") from exc
 
-    return RunConfig(raw=raw, grid=grid, coeffs=coeffs, production=production,
-                     scrap=scrap, solver=solver, mc=mc, lattice=lsec, cross_gap=cross_gap)
+    return RunConfig(raw=raw, grid=grid, coeffs=coeffs, production=production, scrap=scrap,
+                     solver=solver, mc=mc, lattice=lattice, cross_gap=tol["cross_gap"])
+
+
+def checked_mc(n_paths: int, seed: int, antithetic: bool) -> McConfig:
+    """Monte-Carlo settings, rejecting counts and seeds the generators cannot take."""
+    if n_paths < 1 or seed < 0:
+        raise ConfigError(f"mc: need paths >= 1 and seed >= 0, got {n_paths} and {seed}")
+    return McConfig(n_paths=n_paths, seed=seed, antithetic=antithetic)
+
+
+def _number(section: str, key: str, value, kind):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{section}.{key}: expected a number, got {value!r}") from exc
 
 
 def _coerce_function(name: str, spec, grid: TimeGrid):
@@ -152,45 +191,31 @@ def _coerce_function(name: str, spec, grid: TimeGrid):
     raise ConfigError(f"coefficients.{name}: expected a number or node array")
 
 
-def _parse_production(psec: dict):
-    if "variant" not in psec:
-        raise ConfigError("production: missing 'variant'")
-    variant = psec["variant"]
-    if variant == "cobb_douglas":
-        _require_keys("production", psec,
-                      {"variant", "alpha", "beta", "gamma", "kappa_L", "kappa_K"},
-                      {"alpha", "beta", "gamma"})
-        try:
-            return CobbDouglas(alpha=float(psec["alpha"]), beta=float(psec["beta"]),
-                               gamma=float(psec["gamma"]),
-                               kappa_L=float(psec.get("kappa_L", 1e6)),
-                               kappa_K=float(psec.get("kappa_K", 1e6)))
-        except AssumptionError:
-            raise
-        except ValueError as exc:
-            raise AssumptionError(f"production: {exc}") from exc
-    if variant == "power_marginal":
-        _require_keys("production", psec, {"variant", "scale", "exponent"},
-                      {"scale", "exponent"})
-        try:
-            return power_marginal(float(psec["scale"]), float(psec["exponent"]))
-        except ValueError as exc:
-            raise AssumptionError(f"production: {exc}") from exc
-    raise ConfigError(f"production: unknown variant {variant!r} "
-                      "(tabulated technologies are library-only)")
+# section -> variant -> (constructor, numeric keys, required keys)
+_VARIANTS = {
+    "production": {
+        "cobb_douglas": (CobbDouglas, {"alpha", "beta", "gamma", "kappa_L", "kappa_K"},
+                         {"alpha", "beta", "gamma"}),
+        "power_marginal": (power_marginal, {"scale", "exponent"}, {"scale", "exponent"}),
+    },
+    "scrap": {
+        "saturating_exponential": (SaturatingExponential, {"a", "b"}, {"a", "b"}),
+        "zero": (ZeroScrap, set(), set()),
+    },
+}
 
 
-def _parse_scrap(ssec: dict):
-    if "variant" not in ssec:
-        raise ConfigError("scrap: missing 'variant'")
-    variant = ssec["variant"]
-    if variant == "saturating_exponential":
-        _require_keys("scrap", ssec, {"variant", "a", "b"}, {"a", "b"})
-        try:
-            return SaturatingExponential(a=float(ssec["a"]), b=float(ssec["b"]))
-        except ValueError as exc:
-            raise AssumptionError(f"scrap: {exc}") from exc
-    if variant == "zero":
-        _require_keys("scrap", ssec, {"variant"})
-        return ZeroScrap()
-    raise ConfigError(f"scrap: unknown variant {variant!r}")
+def _parse_variant(section: str, data: dict):
+    if not isinstance(data, dict) or "variant" not in data:
+        raise ConfigError(f"{section}: missing 'variant'")
+    variant = data["variant"]
+    if not isinstance(variant, str) or variant not in _VARIANTS[section]:
+        hint = " (tabulated technologies are library-only)" if section == "production" else ""
+        raise ConfigError(f"{section}: unknown variant {variant!r}{hint}")
+    build, numeric, required = _VARIANTS[section][variant]
+    _require_keys(section, data, numeric | {"variant"}, required)
+    numbers = {k: _number(section, k, v, float) for k, v in data.items() if k != "variant"}
+    try:
+        return build(**numbers)
+    except ValueError as exc:
+        raise AssumptionError(f"{section}: {exc}") from exc

@@ -14,7 +14,7 @@ independent of how work is split across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -63,9 +63,6 @@ class CapacityPath:
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values))
 
-    def node_value(self, node: int) -> float:
-        return float(self.values[node - self.s_idx])
-
 
 @dataclass(frozen=True)
 class PathBatch:
@@ -95,14 +92,20 @@ class PathBatch:
 
     def pair_means(self, per_path: np.ndarray) -> np.ndarray:
         """Antithetic-pair averages of a per-path statistic."""
-        if not self.antithetic:
-            return per_path
-        h = self.n_paths // 2
-        return 0.5 * (per_path[:h] + per_path[h:])
+        return pair_means(per_path, self.antithetic)
 
 
-def mean_and_se(batch: PathBatch, per_path: np.ndarray) -> tuple[float, float]:
-    vals = batch.pair_means(per_path)
+def pair_means(per_path: np.ndarray, antithetic: bool) -> np.ndarray:
+    """Average the two halves of an antithetic batch; identity otherwise."""
+    if not antithetic:
+        return per_path
+    h = len(per_path) // 2
+    return 0.5 * (per_path[:h] + per_path[h:])
+
+
+def mean_and_se(per_path: np.ndarray, antithetic: bool) -> tuple[float, float]:
+    """Mean of a per-path statistic and its standard error over pair means."""
+    vals = pair_means(per_path, antithetic)
     n = vals.size
     if n < 2:
         return float(np.mean(vals)), 0.0
@@ -118,6 +121,22 @@ def values_from_normals(coeffs: CoefficientSet, s_idx: int, normals: np.ndarray,
     return np.exp(logs)
 
 
+def sample_decay(coeffs: CoefficientSet, s_idx: int, n: int, measure: str, seed: int,
+                 purpose: str, antithetic: bool) -> np.ndarray:
+    """Decay-factor matrix from node ``s_idx`` on the stream keyed by ``purpose``.
+
+    With ``antithetic`` the count is rounded up to an even number and the
+    second half of the rows mirrors the Gaussian draws of the first half.
+    """
+    m = coeffs.grid.n_steps - s_idx
+    if antithetic:
+        z = gaussian_matrix(seed, purpose, s_idx, ((n + 1) // 2, m))
+        normals = np.concatenate([z, -z], axis=0)
+    else:
+        normals = gaussian_matrix(seed, purpose, s_idx, (n, m))
+    return values_from_normals(coeffs, s_idx, normals, measure)
+
+
 def simulate(coeffs: CoefficientSet, grid: TimeGrid, s_idx: int, n: int,
              measure: str = MEASURE_P, seed: int = 0, antithetic: bool = True) -> PathBatch:
     """Simulate ``n`` decay-factor paths from node ``s_idx``.
@@ -131,14 +150,7 @@ def simulate(coeffs: CoefficientSet, grid: TimeGrid, s_idx: int, n: int,
         raise ValueError("start node must lie strictly before the horizon")
     if grid.nodes.shape != coeffs.grid.nodes.shape or np.any(grid.nodes != coeffs.grid.nodes):
         raise ValueError("grid mismatch between coefficients and request")
-    m = grid.n_steps - s_idx
-    if antithetic:
-        half = (n + 1) // 2
-        z = gaussian_matrix(seed, "simulate", s_idx, (half, m))
-        normals = np.concatenate([z, -z], axis=0)
-    else:
-        normals = gaussian_matrix(seed, "simulate", s_idx, (n, m))
-    vals = values_from_normals(coeffs, s_idx, normals, measure)
+    vals = sample_decay(coeffs, s_idx, n, measure, seed, "simulate", antithetic)
     return PathBatch(grid, s_idx, vals, measure, seed, antithetic)
 
 
@@ -156,9 +168,7 @@ def running_sup_ratio(path: CapacityPath, curve: np.ndarray, start: Optional[int
     curve = np.asarray(curve, dtype=float)
     if curve.size < n_steps:
         raise ValueError("curve must be defined at all nodes before the horizon")
-    c = path.values[j - path.s_idx:n_steps - path.s_idx]
-    ratios = curve[j:n_steps] / c
-    return np.maximum.accumulate(ratios)
+    return running_sup_matrix(path.values[None, j - path.s_idx:], curve[j:n_steps])[0]
 
 
 def running_sup_matrix(values: np.ndarray, curve_tail: np.ndarray) -> np.ndarray:
@@ -169,4 +179,5 @@ def running_sup_matrix(values: np.ndarray, curve_tail: np.ndarray) -> np.ndarray
     strictly before node j+1+k, one column per k = 0..N-j-1.
     """
     ratios = curve_tail[None, :] / values[:, :curve_tail.size]
-    return np.maximum.accumulate(ratios, axis=1)
+    # ratios is a fresh temporary, so the cummax can overwrite it
+    return np.maximum.accumulate(ratios, axis=1, out=ratios)

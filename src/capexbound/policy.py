@@ -10,13 +10,13 @@ convention, so an initial jump is booked at the first step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .boundary import BoundaryCurve
 from .model import CoefficientSet, ProductionSpec, ScrapSpec, _freeze, discount_step_masses
-from .paths import MEASURE_P, CapacityPath, PathBatch, running_sup_matrix
+from .paths import MEASURE_P, CapacityPath, PathBatch, mean_and_se, running_sup_matrix
 from .production import reduced_value_array
 
 
@@ -60,7 +60,9 @@ def build_control(curve: BoundaryCurve, path: CapacityPath, y: float,
         raise ValueError("initial capacity must be positive")
     if path.grid.n_steps != curve.grid.n_steps or np.any(path.grid.nodes != curve.grid.nodes):
         raise ValueError("path and boundary curve must share the grid")
-    plans = build_controls(curve, _as_batch_like(path), y, coeffs)
+    one = PathBatch(path.grid, path.s_idx, path.values[None, :], path.measure,
+                    seed=0, antithetic=False)
+    plans = build_controls(curve, one, y, coeffs)
     return InvestmentPlan(path.s_idx, y, plans.nubar[0], plans.nu[0])
 
 
@@ -81,15 +83,7 @@ class PlanBatch:
         return InvestmentPlan(self.s_idx, self.y, self.nubar[p], self.nu[p])
 
 
-def _as_batch_like(path: CapacityPath):
-    class _One:
-        grid = path.grid
-        s_idx = path.s_idx
-        values = path.values[None, :]
-    return _One()
-
-
-def build_controls(curve: BoundaryCurve, batch, y: float,
+def build_controls(curve: BoundaryCurve, batch: PathBatch, y: float,
                    coeffs: CoefficientSet) -> PlanBatch:
     """Vectorized tracking policy over a batch of paths."""
     if y <= 0:
@@ -147,9 +141,7 @@ def profit(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
     disc_nodes = np.exp(-(cum_f[s:n] - cum_f[s]))
     spend = np.diff(plans.nu, axis=1) @ disc_nodes
     per_path = running + scrap_term - spend
-    vals_p = batch.pair_means(per_path)
-    mean = float(np.mean(vals_p))
-    se = float(np.std(vals_p, ddof=1) / np.sqrt(vals_p.size)) if vals_p.size > 1 else 0.0
+    mean, se = mean_and_se(per_path, batch.antithetic)
     return ProfitEstimate(mean, se, per_path)
 
 

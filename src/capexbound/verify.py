@@ -16,7 +16,7 @@ the exact log-increment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,8 +31,8 @@ from .model import (
     cumulative_integral,
     discount_step_masses,
 )
-from .paths import MEASURE_P, MEASURE_Q, PathBatch, log_increment_moments
-from .policy import PlanBatch, build_controls, controlled_capacity
+from .paths import MEASURE_P, MEASURE_Q, PathBatch, log_increment_moments, mean_and_se
+from .policy import build_controls, controlled_capacity
 from .production import reduced_marginal_array, reduced_value_array
 
 
@@ -205,14 +205,12 @@ def shadow_value_gap(value_dp: ValueDP, stopping_dp: StoppingDP, margin: int = 5
 class CrossReport:
     sup_rel_gap: float
     per_node_rel_gap: np.ndarray
-    v_vs_value_gap: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "per_node_rel_gap", _freeze(self.per_node_rel_gap))
 
 
-def cross_validate(curve: BoundaryCurve, stopping_dp: StoppingDP,
-                   value_dp: Optional[ValueDP] = None) -> CrossReport:
+def cross_validate(curve: BoundaryCurve, stopping_dp: StoppingDP) -> CrossReport:
     """Per-node and sup-norm relative gaps between the integral-equation
     boundary and the dynamic-programming boundary."""
     ie = curve.values
@@ -220,11 +218,7 @@ def cross_validate(curve: BoundaryCurve, stopping_dp: StoppingDP,
     if ie.size != dp.size:
         raise ValueError("boundaries live on different time grids")
     rel = np.abs(ie - dp) / np.maximum(np.abs(ie), 1e-300)
-    vv = None
-    if value_dp is not None:
-        vv = float(np.max(np.abs(value_dp.boundary - dp)
-                          / np.maximum(np.abs(dp), 1e-300)))
-    return CrossReport(float(np.max(rel)), rel, vv)
+    return CrossReport(float(np.max(rel)), rel)
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +324,12 @@ class _FocWorkspace:
         vals = np.where(idx < n,
                         self.integrand[rows, np.minimum(idx, n - 1)],
                         0.0)
-        return _pair_stats(self.batch, vals)
+        return mean_and_se(vals, self.batch.antithetic)
 
     def slackness(self) -> tuple[float, float]:
         spend_inc = np.diff(self.plans.nu, axis=1)
         vals = np.sum(self.integrand * spend_inc, axis=1)
-        return _pair_stats(self.batch, vals)
-
-
-def _pair_stats(batch: PathBatch, per_path: np.ndarray) -> tuple[float, float]:
-    vals = batch.pair_means(per_path)
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return mean, se
+        return mean_and_se(vals, self.batch.antithetic)
 
 
 def supergradient_estimate(curve: BoundaryCurve, y: float, coeffs: CoefficientSet,
