@@ -22,7 +22,6 @@ from .model import (
     CoefficientSet,
     SaturatingExponential,
     SyntheticMarginal,
-    Tabulated,
     TimeGrid,
     ValidationReport,
     ZeroScrap,

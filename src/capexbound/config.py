@@ -210,8 +210,7 @@ def _parse_variant(section: str, data: dict):
         raise ConfigError(f"{section}: missing 'variant'")
     variant = data["variant"]
     if not isinstance(variant, str) or variant not in _VARIANTS[section]:
-        hint = " (tabulated technologies are library-only)" if section == "production" else ""
-        raise ConfigError(f"{section}: unknown variant {variant!r}{hint}")
+        raise ConfigError(f"{section}: unknown variant {variant!r}")
     build, numeric, required = _VARIANTS[section][variant]
     _require_keys(section, data, numeric | {"variant"}, required)
     numbers = {k: _number(section, k, v, float) for k, v in data.items() if k != "variant"}

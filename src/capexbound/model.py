@@ -254,21 +254,6 @@ class CobbDouglas:
 
 
 @dataclass(frozen=True)
-class Tabulated:
-    """Concave production given as a callable R(C, L, K) on a box.
-
-    ``grad_LK`` optionally supplies (R_L, R_K); otherwise finite differences
-    are used.  ``marginal_C`` optionally supplies R_C.
-    """
-
-    R: Callable
-    kappa_L: float = 1e6
-    kappa_K: float = 1e6
-    grad_LK: Optional[Callable] = None
-    marginal_C: Optional[Callable] = None
-
-
-@dataclass(frozen=True)
 class SyntheticMarginal:
     """Directly specified marginal profit rate, bypassing the input layer.
 
@@ -299,7 +284,7 @@ def power_marginal(scale: float, exponent: float) -> SyntheticMarginal:
     )
 
 
-ProductionSpec = Union[CobbDouglas, Tabulated, SyntheticMarginal]
+ProductionSpec = Union[CobbDouglas, SyntheticMarginal]
 
 
 @dataclass(frozen=True)
@@ -431,7 +416,8 @@ def validate(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
             ok &= arr >= b[lo]
         if b.get(hi) is not None:
             ok &= arr <= b[hi]
-    checks.append(CheckResult("cost-functions", bool(ok.all()),
+    costs_ok = bool(ok.all())
+    checks.append(CheckResult("cost-functions", costs_ok,
                               "wage and interest positive within bounds", _first_bad(ok)))
 
     ok = coeffs.bar_mu >= coeffs.eps_o
@@ -449,7 +435,7 @@ def validate(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
         "scrap marginal strictly decreasing (required by the boundary solver "
         "unless explicitly overridden)"))
 
-    eff_ok, eff_detail, eff_node = _check_efficiency(coeffs, prod, scrap, production_mod)
+    eff_ok, eff_detail, eff_node = _check_efficiency(coeffs, prod, scrap, production_mod, costs_ok)
     checks.append(CheckResult("efficiency", eff_ok, eff_detail, eff_node, hard=False))
 
     return ValidationReport(tuple(checks))
@@ -461,18 +447,17 @@ def _check_production(prod, coeffs, production_mod) -> tuple[bool, str]:
     w0, r0 = float(coeffs.w[0]), float(coeffs.r[0])
     probe = np.geomspace(1e-6, 1e6, 25)
     try:
-        vals = np.array([production_mod.reduced_marginal(prod, c, w0, r0) for c in probe])
+        vals = production_mod.reduced_marginal_array(prod, probe, w0, r0)
     except Exception as exc:  # pragma: no cover - defensive
         return False, f"marginal evaluation failed: {exc}"
     if not np.all(np.isfinite(vals[1:])):
         return False, "non-finite marginal values on probe grid"
     if np.any(np.diff(vals) > 1e-12 * np.maximum(np.abs(vals[:-1]), 1.0)):
         return False, "marginal not non-increasing on probe grid"
-    if isinstance(prod, SyntheticMarginal):
-        if vals[0] < 1e3 * max(vals[-1], 1e-300):
-            return False, "marginal does not blow up toward zero capacity (Inada)"
-        if vals[-1] > 1e-3 * vals[0]:
-            return False, "marginal does not vanish at large capacity"
+    if vals[0] < 1e3 * max(vals[-1], 1e-300):
+        return False, "marginal does not blow up toward zero capacity (Inada)"
+    if vals[-1] > 1e-3 * vals[0]:
+        return False, "marginal does not vanish at large capacity"
     return True, "marginal positive, decreasing on probe grid"
 
 
@@ -492,7 +477,7 @@ def _check_scrap(scrap, coeffs) -> tuple[bool, str]:
     return True, f"concave non-decreasing, G'(0) f_C(T) = {g0 * fT:.6g} <= 1"
 
 
-def _check_efficiency(coeffs, prod, scrap, production_mod):
+def _check_efficiency(coeffs, prod, scrap, production_mod, costs_ok: bool):
     parts = []
     ok_sigma = coeffs.sigma_sq <= coeffs.mu_C + 1e-15
     parts.append(("sigma^2 <= mu_C", ok_sigma))
@@ -501,15 +486,19 @@ def _check_efficiency(coeffs, prod, scrap, production_mod):
     ok_decay = coeffs.bar_mu <= decay + 1e-12
     parts.append(("bar_mu <= -f_C'/f_C", ok_decay))
 
-    w0, r0 = float(coeffs.w[0]), float(coeffs.r[0])
     probe = np.geomspace(1e-2, 1e2, 17)
-    marg = np.array([production_mod.reduced_marginal(prod, c, w0, r0) for c in probe])
-    mid = np.array([production_mod.reduced_marginal(prod, c, w0, r0)
-                    for c in 0.5 * (probe[:-2] + probe[2:])])
-    conv_m = np.all(mid <= 0.5 * (marg[:-2] + marg[2:]) + 1e-9 * np.abs(marg[:-2]))
+    mids = 0.5 * (probe[:-2] + probe[2:])
     gp = np.asarray(scrap.marginal(probe), dtype=float)
-    gmid = np.asarray(scrap.marginal(0.5 * (probe[:-2] + probe[2:])), dtype=float)
+    gmid = np.asarray(scrap.marginal(mids), dtype=float)
     conv_g = np.all(gmid <= 0.5 * (gp[:-2] + gp[2:]) + 1e-12)
+    # the production marginal is undefined at a non-positive wage or rate, so
+    # it is not probed once the cost-function check has failed
+    conv_m = costs_ok
+    if costs_ok:
+        vals = production_mod.reduced_marginal_array(
+            prod, np.concatenate([probe, mids]), float(coeffs.w[0]), float(coeffs.r[0]))
+        marg, mid = vals[:probe.size], vals[probe.size:]
+        conv_m = np.all(mid <= 0.5 * (marg[:-2] + marg[2:]) + 1e-9 * np.abs(marg[:-2]))
     parts.append(("convex marginals", np.array([conv_m and conv_g])))
 
     all_ok = all(bool(np.all(m)) for _, m in parts)

@@ -1,10 +1,21 @@
 """Reduced production profit: optimal input choice on the box and the
 resulting value and marginal in capacity.
 
-For the Cobb-Douglas technology the interior optimum and the capacity
-marginal have closed forms; the box constraint is handled by a KKT case
-analysis over the interior point, the two clipped edges and the corner.
-Tabulated technologies go through a box-constrained concave maximizer.
+For the Cobb-Douglas technology every regime of the input choice is a power
+law in capacity, so value and marginal are closed forms evaluated on whole
+arrays; no numerical maximizer is involved.  Let e_L = ln L^ - ln kappa_L and
+e_K = ln K^ - ln kappa_K be the log excesses of the unconstrained stationary
+point (L^, K^) over the box.  The KKT regimes are
+
+* interior: e_L <= 0 and e_K <= 0, the optimum is (L^, K^);
+* L capped: L = kappa_L and K follows its edge response, below kappa_K;
+* K capped: K = kappa_K and L follows its edge response, below kappa_L;
+* corner: both inputs at their caps.
+
+Outside the interior the input with the larger excess sits at its cap.  The
+edge responses are power laws in C and in logs shift the interior level by
+a multiple of the other input's excess, which gives the one formula in
+``_cd_optimal_logs`` for all four regimes.
 """
 
 from __future__ import annotations
@@ -13,15 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
-from .model import (
-    INADA_SENTINEL,
-    CobbDouglas,
-    ProductionSpec,
-    SyntheticMarginal,
-    Tabulated,
-)
+from .model import INADA_SENTINEL, CobbDouglas, ProductionSpec, SyntheticMarginal
 
 
 class UnsupportedVariantError(TypeError):
@@ -53,157 +57,35 @@ def _cd_interior_logs(prod: CobbDouglas, C, w, r):
     return lnL, lnK
 
 
-def _cd_value_at(prod: CobbDouglas, C, L, K, w, r):
-    return prod.raw(C, L, K) - w * L - r * K
+def _cd_log_excess(prod: CobbDouglas, C, w, r):
+    """Interior logs and their excesses (e_L, e_K) over the box caps.
 
-
-def _cd_edge_K(prod: CobbDouglas, C, L, r):
-    """Maximizer over K at fixed L (before clipping): R_K = r."""
-    a, b, g = prod.alpha, prod.beta, prod.gamma
-    scale = 1.0 / (a * b * g)
-    # scale * g * C^a L^b K^(g-1) = r
-    base = scale * g * C ** a * L ** b / r
-    return base ** (1.0 / (1.0 - g))
-
-
-def _cd_edge_L(prod: CobbDouglas, C, K, w):
-    a, b, g = prod.alpha, prod.beta, prod.gamma
-    scale = 1.0 / (a * b * g)
-    base = scale * b * C ** a * K ** g / w
-    return base ** (1.0 / (1.0 - b))
-
-
-def _cd_optimal_inputs(prod: CobbDouglas, C: float, w: float, r: float) -> InputChoice:
-    if C == 0.0:
-        return InputChoice(0.0, 0.0)
+    The box binds exactly where either excess is positive; both excesses grow
+    in ln C with slope alpha / (1 - beta - gamma).
+    """
     lnL, lnK = _cd_interior_logs(prod, C, w, r)
-    L_hat, K_hat = math.exp(lnL), math.exp(lnK)
-    if L_hat <= prod.kappa_L and K_hat <= prod.kappa_K:
-        return InputChoice(L_hat, K_hat)
-    candidates = []
-    if L_hat > prod.kappa_L:
-        K_edge = min(_cd_edge_K(prod, C, prod.kappa_L, r), prod.kappa_K)
-        candidates.append((prod.kappa_L, K_edge))
-    if K_hat > prod.kappa_K:
-        L_edge = min(_cd_edge_L(prod, C, prod.kappa_K, w), prod.kappa_L)
-        candidates.append((L_edge, prod.kappa_K))
-    candidates.append((prod.kappa_L, prod.kappa_K))
-    best = max(candidates, key=lambda lk: _cd_value_at(prod, C, lk[0], lk[1], w, r))
-    return InputChoice(float(best[0]), float(best[1]))
+    return lnL, lnK, lnL - math.log(prod.kappa_L), lnK - math.log(prod.kappa_K)
 
 
-# ---------------------------------------------------------------------------
-# tabulated internals
+def _cd_optimal_logs(prod: CobbDouglas, C, w, r):
+    """(ln L*, ln K*, binding) of the optimum on the box at capacity C > 0.
 
-def _tab_optimal_inputs(prod: Tabulated, C: float, w: float, r: float) -> InputChoice:
-    def neg(x):
-        return -(prod.R(C, x[0], x[1]) - w * x[0] - r * x[1])
-
-    jac = None
-    if prod.grad_LK is not None:
-        def jac(x):
-            gL, gK = prod.grad_LK(C, x[0], x[1])
-            return np.array([-(gL - w), -(gK - r)])
-
-    # coarse log-spaced scan to land near the right scale, then polish
-    probes_L = np.concatenate([[0.0], np.geomspace(1e-6 * prod.kappa_L, prod.kappa_L, 15)])
-    probes_K = np.concatenate([[0.0], np.geomspace(1e-6 * prod.kappa_K, prod.kappa_K, 15)])
-    LL, KK = np.meshgrid(probes_L, probes_K, indexing="ij")
-    coarse = prod.R(C, LL, KK) - w * LL - r * KK
-    i, j = np.unravel_index(np.argmax(coarse), coarse.shape)
-    x0 = np.array([max(probes_L[i], 1e-8 * prod.kappa_L),
-                   max(probes_K[j], 1e-8 * prod.kappa_K)])
-    res = optimize.minimize(neg, x0, jac=jac, method="L-BFGS-B",
-                            bounds=[(0.0, prod.kappa_L), (0.0, prod.kappa_K)],
-                            options={"ftol": 1e-14, "gtol": 1e-12, "maxiter": 500})
-    best = res.x
-    best_val = -neg(best)
-    for cand in ((0.0, 0.0), (probes_L[i], probes_K[j])):
-        v = -neg(np.asarray(cand))
-        if v > best_val:
-            best, best_val = np.asarray(cand, dtype=float), v
-    return InputChoice(float(best[0]), float(best[1]))
-
-
-def _tab_marginal_C(prod: Tabulated, C: float, L: float, K: float) -> float:
-    if prod.marginal_C is not None:
-        return float(prod.marginal_C(C, L, K))
-    h = 1e-6 * max(C, 1.0)
-    lo = max(C - h, 0.0)
-    return float((prod.R(C + h, L, K) - prod.R(lo, L, K)) / (C + h - lo))
-
-
-# ---------------------------------------------------------------------------
-# public operations
-
-def optimal_inputs(prod: ProductionSpec, C: float, w: float, r: float) -> InputChoice:
-    """Unique maximizer of R(C, ., .) - wL - rK on the input box."""
-    if isinstance(prod, SyntheticMarginal):
-        raise UnsupportedVariantError("synthetic-marginal production has no input choice")
-    if C < 0:
-        raise ValueError("capacity must be nonnegative")
-    if isinstance(prod, CobbDouglas):
-        return _cd_optimal_inputs(prod, float(C), float(w), float(r))
-    return _tab_optimal_inputs(prod, float(C), float(w), float(r))
-
-
-def reduced_value(prod: ProductionSpec, C, w, r):
-    """Maximal profit rate at capacity C, wage w and interest r.
-
-    For the synthetic-marginal variant this is the fixed antiderivative of the
-    marginal, defined up to an additive constant that no consumer depends on.
+    The edge response of K at fixed L is K^ (L / L^)^(beta / (1 - gamma)), so
+    with L at its cap ln K = ln K^ - beta / (1 - gamma) e_L, clipped at
+    ln kappa_K; symmetrically for L.  Shifting each input by the positive
+    part of the other's excess and clipping at its cap covers all four
+    regimes: a capped input's shifted level is never below its cap, and an
+    uncapped input's shifted level is its edge response, or its interior
+    level when the other input is slack.  Interior entries keep ln L^, ln K^
+    bit for bit.
     """
-    if isinstance(prod, SyntheticMarginal):
-        C = np.asarray(C, dtype=float)
-        if np.any(C < 0):
-            raise ValueError("capacity must be nonnegative")
-        if prod.antiderivative is not None:
-            return prod.antiderivative(C)
-        flat = np.atleast_1d(C)
-        out = np.array([_rc_quadrature(prod, float(c)) for c in flat])
-        return out.reshape(np.shape(C)) if np.shape(C) else float(out[0])
-    if np.ndim(C) > 0:
-        return reduced_value_array(prod, np.asarray(C, dtype=float), w, r)
-    if C < 0:
-        raise ValueError("capacity must be nonnegative")
-    if C == 0.0:
-        return 0.0
-    lk = optimal_inputs(prod, C, w, r)
-    raw = prod.raw(C, lk.L, lk.K) if isinstance(prod, CobbDouglas) else prod.R(C, lk.L, lk.K)
-    return float(raw - w * lk.L - r * lk.K)
-
-
-def _rc_quadrature(prod: SyntheticMarginal, C: float) -> float:
-    if C == 0.0:
-        return 0.0
-    u = np.linspace(1e-12 * max(C, 1.0), C, 2001)
-    vals = np.asarray(prod.rc(u), dtype=float)
-    return float(np.sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(u)))
-
-
-def reduced_marginal(prod: ProductionSpec, C, w, r):
-    """Partial derivative of the reduced value in capacity.
-
-    At an interior optimum this equals the raw marginal product evaluated at
-    the optimal inputs, which for Cobb-Douglas collapses to a closed form.
-    At C = 0 under an Inada technology the value is unbounded; a large
-    sentinel is returned for use in bracketing comparisons only.
-    """
-    if np.ndim(C) > 0:
-        return reduced_marginal_array(prod, np.asarray(C, dtype=float), w, r)
-    C = float(C)
-    if C < 0:
-        raise ValueError("capacity must be nonnegative")
-    if isinstance(prod, SyntheticMarginal):
-        if C == 0.0:
-            return INADA_SENTINEL
-        return float(prod.rc(C))
-    if C == 0.0:
-        return INADA_SENTINEL
-    if isinstance(prod, CobbDouglas):
-        return float(reduced_marginal_array(prod, np.asarray([C]), w, r)[0])
-    lk = optimal_inputs(prod, C, w, r)
-    return _tab_marginal_C(prod, C, lk.L, lk.K)
+    b, g = prod.beta, prod.gamma
+    lnL, lnK, eL, eK = _cd_log_excess(prod, C, w, r)
+    binding = (eL > 0) | (eK > 0)
+    if binding.any():
+        lnL = np.minimum(lnL - g / (1.0 - b) * np.maximum(eK, 0.0), math.log(prod.kappa_L))
+        lnK = np.minimum(lnK - b / (1.0 - g) * np.maximum(eL, 0.0), math.log(prod.kappa_K))
+    return lnL, lnK, binding
 
 
 def _cd_closed_form_log_marginal(prod: CobbDouglas, w, r):
@@ -217,6 +99,101 @@ def _cd_closed_form_log_marginal(prod: CobbDouglas, w, r):
                  + g * (math.log(g) - math.log(a) - lnr)) / denom
     slope = (a + b + g - 1.0) / denom
     return intercept, slope
+
+
+def _rc_quadrature(prod: SyntheticMarginal, C: float) -> float:
+    if C == 0.0:
+        return 0.0
+    u = np.linspace(1e-12 * max(C, 1.0), C, 2001)
+    vals = np.asarray(prod.rc(u), dtype=float)
+    return float(np.sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(u)))
+
+
+def _nonnegative(C) -> np.ndarray:
+    C = np.asarray(C, dtype=float)
+    if np.any(C < 0):
+        raise ValueError("capacity must be nonnegative")
+    return C
+
+
+def _view(C, out):
+    return out if np.ndim(C) > 0 else float(out)
+
+
+# ---------------------------------------------------------------------------
+# public operations
+
+def reduced_value_array(prod: ProductionSpec, C: np.ndarray, w, r) -> np.ndarray:
+    """Vectorized reduced value; ``w`` and ``r`` broadcast against ``C``.
+
+    For the synthetic-marginal variant this is the fixed antiderivative of the
+    marginal, defined up to an additive constant that no consumer depends on.
+    """
+    C = _nonnegative(C)
+    if isinstance(prod, SyntheticMarginal):
+        if prod.antiderivative is not None:
+            return np.asarray(prod.antiderivative(C), dtype=float)
+        return np.array([_rc_quadrature(prod, float(c)) for c in C.ravel()]).reshape(C.shape)
+    a, b, g = prod.alpha, prod.beta, prod.gamma
+    Cp = np.maximum(C, 1e-300)
+    lnL, lnK, binding = _cd_optimal_logs(prod, Cp, w, r)
+    rho = -math.log(a * b * g)
+    lnR = rho + a * np.log(Cp) + b * lnL + g * lnK
+    raw = np.exp(lnR)
+    # interior: w L = beta R and r K = gamma R, so the value is (1-b-g) R
+    out = (1.0 - b - g) * raw
+    if binding.any():
+        out = np.where(binding, raw - w * np.exp(lnL) - r * np.exp(lnK), out)
+    return np.where(C > 0, out, 0.0)
+
+
+def reduced_marginal_array(prod: ProductionSpec, C: np.ndarray, w, r) -> np.ndarray:
+    """Vectorized marginal; ``w`` and ``r`` broadcast against ``C``.
+
+    At C = 0 the Inada condition makes the value unbounded; a large sentinel
+    is returned there for use in bracketing comparisons only.  Where the box
+    binds the envelope theorem gives R_C at the optimal inputs.
+    """
+    C = _nonnegative(C)
+    if isinstance(prod, SyntheticMarginal):
+        return np.where(C > 0, prod.rc(np.maximum(C, 1e-300)), INADA_SENTINEL)
+    a, b, g = prod.alpha, prod.beta, prod.gamma
+    intercept, slope = _cd_closed_form_log_marginal(prod, w, r)
+    Cp = np.maximum(C, 1e-300)
+    lnC = np.log(Cp)
+    out = np.exp(intercept + slope * lnC)
+    lnL, lnK, binding = _cd_optimal_logs(prod, Cp, w, r)
+    if binding.any():
+        envelope = np.exp(-math.log(b * g) + (a - 1.0) * lnC + b * lnL + g * lnK)
+        out = np.where(binding, envelope, out)
+    return np.where(C > 0, np.minimum(out, INADA_SENTINEL), INADA_SENTINEL)
+
+
+def optimal_inputs(prod: ProductionSpec, C: float, w: float, r: float) -> InputChoice:
+    """Unique maximizer of R(C, ., .) - wL - rK on the input box."""
+    if isinstance(prod, SyntheticMarginal):
+        raise UnsupportedVariantError("synthetic-marginal production has no input choice")
+    if _nonnegative(C) == 0.0:
+        return InputChoice(0.0, 0.0)
+    lnL, lnK, _ = _cd_optimal_logs(prod, C, w, r)
+    # a capped input is reported as its cap, not as exp(ln cap)
+    L = prod.kappa_L if lnL == math.log(prod.kappa_L) else float(np.exp(lnL))
+    K = prod.kappa_K if lnK == math.log(prod.kappa_K) else float(np.exp(lnK))
+    return InputChoice(float(L), float(K))
+
+
+def reduced_value(prod: ProductionSpec, C, w, r):
+    """Maximal profit rate at capacity C, wage w and interest r."""
+    return _view(C, reduced_value_array(prod, C, w, r))
+
+
+def reduced_marginal(prod: ProductionSpec, C, w, r):
+    """Partial derivative of the reduced value in capacity.
+
+    At an interior optimum this equals the raw marginal product evaluated at
+    the optimal inputs, which for Cobb-Douglas collapses to a closed form.
+    """
+    return _view(C, reduced_marginal_array(prod, C, w, r))
 
 
 def power_marginal_form(prod: ProductionSpec, w, r):
@@ -234,97 +211,9 @@ def power_marginal_form(prod: ProductionSpec, w, r):
         scale = np.broadcast_to(float(prod.power_scale), shape)
         cap = np.broadcast_to(np.inf, shape)
         return scale, -float(prod.power_exponent), cap
-    if isinstance(prod, CobbDouglas):
-        intercept, slope = _cd_closed_form_log_marginal(prod, w, r)
-        a, b, g = prod.alpha, prod.beta, prod.gamma
-        denom = 1.0 - b - g
-        rho = -math.log(a * b * g)
-        lnw = np.log(np.asarray(w, dtype=float))
-        lnr = np.log(np.asarray(r, dtype=float))
-        # interior ln L and ln K are affine in ln C; invert for the box caps
-        kL = (rho + math.log(b) + g * (math.log(g) - math.log(b) - lnr) + (g - 1.0) * lnw) / denom
-        kK = (rho + math.log(g) + b * (math.log(b) - math.log(g) - lnw) + (b - 1.0) * lnr) / denom
-        sL = a / denom
-        capL = np.exp((math.log(prod.kappa_L) - kL) / sL)
-        capK = np.exp((math.log(prod.kappa_K) - kK) / sL)
-        return np.exp(intercept), slope, np.minimum(capL, capK)
-    return None
-
-
-def reduced_marginal_array(prod: ProductionSpec, C: np.ndarray, w, r) -> np.ndarray:
-    """Vectorized marginal; ``w`` and ``r`` broadcast against ``C``."""
-    C = np.asarray(C, dtype=float)
-    if np.any(C < 0):
-        raise ValueError("capacity must be nonnegative")
-    if isinstance(prod, SyntheticMarginal):
-        out = np.where(C > 0, prod.rc(np.maximum(C, 1e-300)), INADA_SENTINEL)
-        return out
-    if isinstance(prod, CobbDouglas):
-        intercept, slope = _cd_closed_form_log_marginal(prod, w, r)
-        with np.errstate(divide="ignore"):
-            lnC = np.log(np.maximum(C, 1e-300))
-        out = np.exp(intercept + slope * lnC)
-        out = np.where(C > 0, np.minimum(out, INADA_SENTINEL), INADA_SENTINEL)
-        # the closed form assumes the box is slack; patch binding entries
-        lnL, lnK = _cd_interior_logs(prod, np.maximum(C, 1e-300), w, r)
-        binding = (lnL > math.log(prod.kappa_L)) | (lnK > math.log(prod.kappa_K))
-        binding &= C > 0
-        if np.any(binding):
-            w_b = np.broadcast_to(np.asarray(w, dtype=float), C.shape)[binding]
-            r_b = np.broadcast_to(np.asarray(r, dtype=float), C.shape)[binding]
-            vals = [_cd_envelope_marginal(prod, c, wi, ri)
-                    for c, wi, ri in zip(C[binding], w_b, r_b)]
-            out = out.copy()
-            out[binding] = vals
-        return out
-    w_b = np.broadcast_to(np.asarray(w, dtype=float), C.shape)
-    r_b = np.broadcast_to(np.asarray(r, dtype=float), C.shape)
-    flat = [reduced_marginal(prod, c, wi, ri) for c, wi, ri in
-            zip(C.ravel(), w_b.ravel(), r_b.ravel())]
-    return np.asarray(flat).reshape(C.shape)
-
-
-def _cd_envelope_marginal(prod: CobbDouglas, C: float, w: float, r: float) -> float:
-    lk = _cd_optimal_inputs(prod, C, w, r)
-    a, b, g = prod.alpha, prod.beta, prod.gamma
-    if lk.L == 0.0 or lk.K == 0.0:
-        return 0.0
-    scale = 1.0 / (a * b * g)
-    return scale * a * C ** (a - 1.0) * lk.L ** b * lk.K ** g
-
-
-def reduced_value_array(prod: ProductionSpec, C: np.ndarray, w, r) -> np.ndarray:
-    """Vectorized reduced value; ``w`` and ``r`` broadcast against ``C``."""
-    C = np.asarray(C, dtype=float)
-    if np.any(C < 0):
-        raise ValueError("capacity must be nonnegative")
-    if isinstance(prod, SyntheticMarginal):
-        if prod.antiderivative is not None:
-            return np.asarray(prod.antiderivative(C), dtype=float)
-        return np.array([_rc_quadrature(prod, float(c)) for c in C.ravel()]).reshape(C.shape)
-    if isinstance(prod, CobbDouglas):
-        # interior: w L = beta R and r K = gamma R, so the value is (1-b-g) R
-        a, b, g = prod.alpha, prod.beta, prod.gamma
-        lnL, lnK = _cd_interior_logs(prod, np.maximum(C, 1e-300), w, r)
-        rho = -math.log(a * b * g)
-        with np.errstate(divide="ignore"):
-            lnR = rho + a * np.log(np.maximum(C, 1e-300)) + b * lnL + g * lnK
-        out = (1.0 - b - g) * np.exp(lnR)
-        out = np.where(C > 0, out, 0.0)
-        binding = (lnL > math.log(prod.kappa_L)) | (lnK > math.log(prod.kappa_K))
-        binding &= C > 0
-        if np.any(binding):
-            w_b = np.broadcast_to(np.asarray(w, dtype=float), C.shape)[binding]
-            r_b = np.broadcast_to(np.asarray(r, dtype=float), C.shape)[binding]
-            vals = []
-            for c, wi, ri in zip(C[binding], w_b, r_b):
-                lk = _cd_optimal_inputs(prod, c, wi, ri)
-                vals.append(_cd_value_at(prod, c, lk.L, lk.K, wi, ri))
-            out = out.copy()
-            out[binding] = vals
-        return out
-    w_b = np.broadcast_to(np.asarray(w, dtype=float), C.shape)
-    r_b = np.broadcast_to(np.asarray(r, dtype=float), C.shape)
-    flat = [reduced_value(prod, float(c), float(wi), float(ri))
-            for c, wi, ri in zip(C.ravel(), w_b.ravel(), r_b.ravel())]
-    return np.asarray(flat).reshape(C.shape)
+    intercept, slope = _cd_closed_form_log_marginal(prod, w, r)
+    # the excesses at C = 1 are affine offsets in ln C; the box binds once
+    # the larger of them reaches zero
+    _, _, eL, eK = _cd_log_excess(prod, 1.0, w, r)
+    s = prod.alpha / (1.0 - prod.beta - prod.gamma)
+    return np.exp(intercept), slope, np.exp(-np.maximum(eL, eK) / s)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,17 @@ class TestCliSolve:
         bad["production"] = {"variant": "cobb_douglas", "alpha": 0.3, "beta": 0.4, "gamma": 0.4}
         rc = cli.main(["solve", "--config", write_cfg(tmp_path, bad),
                        "--out", str(tmp_path / "o")])
+        assert rc == 3
+
+    @pytest.mark.parametrize("key, value", [("w", 0.0), ("w", -1.0), ("r", 0.0)])
+    def test_invalid_cost_exits_3_without_warnings(self, tmp_path, key, value):
+        bad = json.loads(json.dumps(STOCHASTIC))
+        bad["production"] = {"variant": "cobb_douglas", "alpha": 0.25, "beta": 0.25, "gamma": 0.25}
+        bad["coefficients"][key] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["solve", "--config", write_cfg(tmp_path, bad),
+                           "--out", str(tmp_path / "o")])
         assert rc == 3
 
     def test_zero_scrap_needs_flag(self, tmp_path):

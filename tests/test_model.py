@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,6 +163,18 @@ class TestValidate:
         r2 = validate(coeffs, prod, scrap)
         assert str(r1) == str(r2)
         assert np.array_equal(coeffs.f_C, before)
+
+    @pytest.mark.parametrize("over", [{"w": 0.0}, {"w": -1.0}, {"r": 0.0}])
+    def test_invalid_costs_fail_without_warnings(self, over):
+        # the marginal is undefined at a non-positive wage or rate, so the
+        # efficiency check must not evaluate it once the cost check failed
+        coeffs = make_coeffs(TimeGrid.uniform(1.0, 10), **over)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = validate(coeffs, CobbDouglas(0.25, 0.25, 0.25), SaturatingExponential(0.5, 1.0))
+        assert not rep.check("cost-functions").passed
+        assert not rep.hard_ok
+        assert not rep.efficiency_ok
 
     def test_nonfinite_rejected(self):
         grid = TimeGrid.uniform(1.0, 4)
