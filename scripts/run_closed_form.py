@@ -36,11 +36,12 @@ def main():
     print(f"solved {args.steps} nodes in {elapsed:.2f}s")
     print(f"max |yhat - closed form| = {err.max():.3e}")
 
-    batch = cb.simulate(coeffs, grid, 0, 1, cb.MEASURE_P, seed=0, antithetic=False)
+    # sigma = 0: the batch is the one deterministic path
+    batch = cb.simulate(coeffs, grid, 0, 1, cb.MEASURE_P)
     y = args.start_fraction * curve.values[0]
-    plan = cb.build_control(curve, batch.path(0), y, coeffs)
+    nubar = cb.build_controls(curve, batch, y, coeffs).nubar[0]
     print(f"start {y:.4f} below boundary {curve.values[0]:.4f}: "
-          f"initial jump {plan.initial_jump:.4f}, total additions {plan.nubar[-1]:.4f}")
+          f"initial jump {nubar[1]:.4f}, total additions {nubar[-1]:.4f}")
 
 
 if __name__ == "__main__":

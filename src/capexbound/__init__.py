@@ -25,22 +25,17 @@ from .model import (
     TimeGrid,
     ValidationReport,
     ZeroScrap,
-    integrate_rate,
     power_marginal,
     validate,
 )
 from .paths import (
     MEASURE_P,
     MEASURE_Q,
-    CapacityPath,
     PathBatch,
-    running_sup_ratio,
     simulate,
 )
 from .policy import (
-    InvestmentPlan,
     PlanBatch,
-    build_control,
     build_controls,
     constant_rate_plan,
     controlled_capacity,
@@ -64,7 +59,6 @@ from .verify import (
     dp_stopping_value,
     dp_value,
     shadow_value_gap,
-    supergradient_estimate,
 )
 
 __version__ = "0.1.0"

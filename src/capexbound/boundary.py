@@ -23,7 +23,6 @@ Discretization conventions, shared with the policy and verification modules:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -256,8 +255,7 @@ def _bisect_node(ev: _NodeResidual, guess: float, tol_rel: float, cfg: SolverCon
 
 def solve_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
                    mc: McConfig = McConfig(), solver: SolverConfig = SolverConfig(),
-                   allow_zero_scrap: bool = False, run_validation: bool = True,
-                   force_mc: bool = False) -> BoundaryCurve:
+                   allow_zero_scrap: bool = False, run_validation: bool = True) -> BoundaryCurve:
     """Solve the exercise boundary by backward induction with per-node bisection.
 
     Each node freezes one batch of changed-measure paths, brackets the root
@@ -265,12 +263,11 @@ def solve_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpe
     and bisects to relative tolerance.  The residual at the returned value is
     then re-estimated on a fresh batch and reported with its standard error.
 
-    Volatility-free instances dispatch to the deterministic quadrature;
-    ``force_mc`` keeps them on the Monte-Carlo code path (diagnostic use).
+    A volatility-free instance has a single decay path: it is solved on that
+    one row, whatever ``mc`` says, to the deterministic tolerance, and its
+    residual is evaluated on the same row.
     """
     report = _gate_assumptions(coeffs, prod, scrap, allow_zero_scrap, run_validation)
-    if coeffs.is_sigma_zero() and not force_mc:
-        mc = None
     return _solve_backward(coeffs, prod, scrap, mc, solver, report)
 
 
@@ -285,26 +282,21 @@ def deterministic_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: 
                           allow_zero_scrap=allow_zero_scrap, run_validation=run_validation)
 
 
-def _solve_backward(coeffs, prod, scrap, mc: Optional[McConfig], solver: SolverConfig,
+def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
                     report) -> BoundaryCurve:
-    """Backward induction; ``mc`` None selects the single deterministic path."""
+    """Backward induction over the decay matrices of ``sample_decay``."""
     grid = coeffs.grid
     n = grid.n_steps
-    deterministic = mc is None
+    deterministic = coeffs.is_sigma_zero()
     tol_rel = solver.tol_rel_det if deterministic else solver.tol_rel
-    if deterministic:
-        # sigma = 0: the decay factor is the plain exponential of -int mu_C
-        log_cp = np.concatenate([[0.0], np.cumsum(-coeffs.drift_steps(0))])
-        cp_solve = np.exp(log_cp)[None, :]
-        cp_audit = cp_solve
-        antithetic = False
-    else:
-        # one Gaussian matrix per purpose drives every node: the sub-path from
-        # node i is the column slice rescaled to start at one, so neighbouring
-        # nodes share noise and the solved curve varies smoothly in time
-        cp_solve = sample_decay(coeffs, 0, mc.n_paths, MEASURE_Q, mc.seed, "solve", mc.antithetic)
-        cp_audit = sample_decay(coeffs, 0, mc.n_paths, MEASURE_Q, mc.seed, "audit", mc.antithetic)
-        antithetic = mc.antithetic
+    antithetic = mc.antithetic
+    # one Gaussian matrix per purpose drives every node: the sub-path from
+    # node i is the column slice rescaled to start at one, so neighbouring
+    # nodes share noise and the solved curve varies smoothly in time
+    cp_solve = sample_decay(coeffs, 0, mc.n_paths, MEASURE_Q, mc.seed, "solve", antithetic)
+    # a fresh batch at sigma = 0 would be the same single row again
+    cp_audit = None if deterministic else sample_decay(
+        coeffs, 0, mc.n_paths, MEASURE_Q, mc.seed, "audit", antithetic)
 
     yhat = np.empty(n)
     res = np.empty(n)

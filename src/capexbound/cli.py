@@ -10,6 +10,7 @@ Set CAPEX_LOG to DEBUG/INFO/WARNING for progress on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -123,12 +124,23 @@ def cmd_simulate(args) -> int:
     plans_c = constant_rate_plan(cfg.coeffs, batch, args.y, rate)
     j_const = profit(cfg.coeffs, cfg.production, cfg.scrap, batch, plans_c)
     elapsed = time.perf_counter() - t0
-    artifacts.write_controls_csv(os.path.join(args.out, "controls.csv"),
-                                 cfg.grid, plans, cap, limit=args.dump_limit)
+    # the files list min(limit, paths) rows, paths rounded up to even when
+    # antithetic as sample_decay draws them; a volatility-free batch holds one
+    # row for every path, repeated here as a read-only view
+    rows = min(args.dump_limit, 2 * ((mc.n_paths + 1) // 2) if mc.antithetic else mc.n_paths)
+
+    def dump(a):
+        return np.broadcast_to(a[:rows], (rows, a.shape[1]))
+
+    artifacts.write_controls_csv(
+        os.path.join(args.out, "controls.csv"), cfg.grid,
+        dataclasses.replace(plans, nubar=dump(plans.nubar), nu=dump(plans.nu)), dump(cap),
+        limit=rows)
     outputs = ["controls.csv"]
     if args.dump_paths:
         artifacts.write_paths_csv(os.path.join(args.out, "paths.csv"), cfg.grid,
-                                  batch, limit=args.dump_limit)
+                                  dataclasses.replace(batch, values=dump(batch.values)),
+                                  limit=rows)
         outputs.append("paths.csv")
     artifacts.write_manifest(os.path.join(args.out, "manifest.json"), {
         "command": "simulate",
@@ -245,6 +257,20 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="capexbound",
                                 description="capacity-expansion exercise boundary toolkit")
@@ -264,10 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="build controls along simulated paths")
     common(sp)
     sp.add_argument("--boundary", required=True, help="boundary.csv from solve")
-    sp.add_argument("--y", type=float, required=True, help="initial capacity")
+    sp.add_argument("--y", type=_positive_float, required=True, help="initial capacity")
     sp.add_argument("--paths", type=int, default=None, help="override mc.paths")
     sp.add_argument("--dump-paths", action="store_true", help="also write paths.csv")
-    sp.add_argument("--dump-limit", type=int, default=100,
+    sp.add_argument("--dump-limit", type=_count, default=100,
                     help="paths written to CSV (all paths enter the estimates)")
     sp.set_defaults(func=cmd_simulate)
 
@@ -275,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--boundary", required=True, help="boundary.csv from solve")
     sp.add_argument("--paths", type=int, default=None, help="override mc.paths")
-    sp.add_argument("--y", type=float, action="append", default=None,
+    sp.add_argument("--y", type=_positive_float, action="append", default=None,
                     help="initial capacity for the FOC checks (repeatable)")
     sp.set_defaults(func=cmd_verify)
 

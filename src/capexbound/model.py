@@ -101,35 +101,6 @@ def cumulative_integral(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate_rate(grid: TimeGrid, g: FunctionLike, a: float, b: float) -> float:
-    """Integral of the piecewise-linear interpolant of ``g`` over [a, b].
-
-    Computed as a difference of one fixed antiderivative so that adjacent
-    intervals add up to machine precision.
-    """
-    if a > b:
-        raise ValueError("integration bounds must satisfy a <= b")
-    t = grid.nodes
-    if a < t[0] - 1e-12 or b > t[-1] + 1e-12:
-        raise ValueError("integration bounds must lie inside the grid")
-    vals = sample_on_grid(grid, g)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite rate values")
-    cum = cumulative_integral(grid, vals)
-
-    def antideriv(x: float) -> float:
-        x = min(max(x, t[0]), t[-1])
-        k = int(np.searchsorted(t, x, side="right") - 1)
-        k = min(k, t.size - 2)
-        dt = x - t[k]
-        if dt == 0.0:
-            return float(cum[k])
-        slope = (vals[k + 1] - vals[k]) / (t[k + 1] - t[k])
-        return float(cum[k] + vals[k] * dt + 0.5 * slope * dt * dt)
-
-    return antideriv(b) - antideriv(a)
-
-
 def discount_step_masses(grid: TimeGrid, rate_values: np.ndarray, start: int) -> tuple[np.ndarray, float]:
     """Per-step integrals of exp(-int_{t_start}^u rate) for steps start..N-1.
 

@@ -15,7 +15,6 @@ independent of how work is split across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -51,26 +50,13 @@ def gaussian_matrix(seed: int, purpose: str, node: int, shape: tuple) -> np.ndar
 
 
 @dataclass(frozen=True)
-class CapacityPath:
-    """One trajectory of the decay factor from node ``s_idx`` (value 1 there)."""
-
-    grid: TimeGrid
-    s_idx: int
-    values: np.ndarray
-    measure: str
-    stream_id: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-
-
-@dataclass(frozen=True)
 class PathBatch:
     """Paths sharing grid, start node, measure and generator stream.
 
     ``values`` has one row per path and one column per node from ``s_idx``
     to the horizon.  With ``antithetic`` the second half of the rows mirrors
-    the Gaussian draws of the first half.
+    the Gaussian draws of the first half.  A volatility-free batch has a
+    single row that stands for every path.
     """
 
     grid: TimeGrid
@@ -87,17 +73,14 @@ class PathBatch:
     def n_paths(self) -> int:
         return self.values.shape[0]
 
-    def path(self, p: int) -> CapacityPath:
-        return CapacityPath(self.grid, self.s_idx, self.values[p], self.measure, p)
-
-    def pair_means(self, per_path: np.ndarray) -> np.ndarray:
-        """Antithetic-pair averages of a per-path statistic."""
-        return pair_means(per_path, self.antithetic)
-
 
 def pair_means(per_path: np.ndarray, antithetic: bool) -> np.ndarray:
-    """Average the two halves of an antithetic batch; identity otherwise."""
-    if not antithetic:
+    """Average the two halves of an antithetic batch; identity otherwise.
+
+    A single row is its own pair: it is the one row of a volatility-free
+    batch, where a draw and its mirror give the same path.
+    """
+    if not antithetic or len(per_path) == 1:
         return per_path
     h = len(per_path) // 2
     return 0.5 * (per_path[:h] + per_path[h:])
@@ -127,9 +110,13 @@ def sample_decay(coeffs: CoefficientSet, s_idx: int, n: int, measure: str, seed:
 
     With ``antithetic`` the count is rounded up to an even number and the
     second half of the rows mirrors the Gaussian draws of the first half.
+    When sigma is identically zero every path is the same, so the matrix is
+    one row built from zero normals, with no draw, whatever ``n`` is.
     """
     m = coeffs.grid.n_steps - s_idx
-    if antithetic:
+    if coeffs.is_sigma_zero():
+        normals = np.zeros((1, m))
+    elif antithetic:
         z = gaussian_matrix(seed, purpose, s_idx, ((n + 1) // 2, m))
         normals = np.concatenate([z, -z], axis=0)
     else:
@@ -142,7 +129,9 @@ def simulate(coeffs: CoefficientSet, grid: TimeGrid, s_idx: int, n: int,
     """Simulate ``n`` decay-factor paths from node ``s_idx``.
 
     With ``antithetic`` the count is rounded up to an even number and draws
-    come in +/- pairs.  A fixed seed reproduces the batch bit for bit.
+    come in +/- pairs.  A fixed seed reproduces the batch bit for bit.  A
+    volatility-free instance returns its one deterministic row, so estimates
+    over the batch are exact and their standard errors zero.
     """
     if n < 1:
         raise ValueError("need at least one path")
@@ -152,23 +141,6 @@ def simulate(coeffs: CoefficientSet, grid: TimeGrid, s_idx: int, n: int,
         raise ValueError("grid mismatch between coefficients and request")
     vals = sample_decay(coeffs, s_idx, n, measure, seed, "simulate", antithetic)
     return PathBatch(grid, s_idx, vals, measure, seed, antithetic)
-
-
-def running_sup_ratio(path: CapacityPath, curve: np.ndarray, start: Optional[int] = None) -> np.ndarray:
-    """Running supremum S[k] = max_{j <= i < k} curve[i] / C[i] for k > j.
-
-    The window is open on the right: the value at k only sees nodes strictly
-    before k, matching the left-continuous control convention.  Returns one
-    entry per k = j+1 .. N.
-    """
-    j = path.s_idx if start is None else int(start)
-    n_steps = path.grid.n_steps
-    if j < path.s_idx or j >= n_steps:
-        raise ValueError("empty index range for the running supremum")
-    curve = np.asarray(curve, dtype=float)
-    if curve.size < n_steps:
-        raise ValueError("curve must be defined at all nodes before the horizon")
-    return running_sup_matrix(path.values[None, j - path.s_idx:], curve[j:n_steps])[0]
 
 
 def running_sup_matrix(values: np.ndarray, curve_tail: np.ndarray) -> np.ndarray:

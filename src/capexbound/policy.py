@@ -10,19 +10,28 @@ convention, so an initial jump is booked at the first step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .boundary import BoundaryCurve
 from .model import CoefficientSet, ProductionSpec, ScrapSpec, _freeze, discount_step_masses
-from .paths import MEASURE_P, CapacityPath, PathBatch, mean_and_se, running_sup_matrix
+from .paths import MEASURE_P, PathBatch, mean_and_se, running_sup_matrix
 from .production import reduced_value_array
 
 
+def _expenditure_from_additions(coeffs: CoefficientSet, s_idx: int,
+                                decay: np.ndarray, nubar: np.ndarray) -> np.ndarray:
+    """Left-endpoint Stieltjes sum of decay / f_C against nubar increments."""
+    weights = decay[..., :-1] / coeffs.f_C[s_idx:-1][None, :]
+    increments = np.diff(nubar, axis=-1)
+    nu = np.zeros_like(nubar)
+    np.cumsum(weights * increments, axis=-1, out=nu[..., 1:])
+    return nu
+
+
 @dataclass(frozen=True)
-class InvestmentPlan:
-    """Non-decreasing control path on the grid from ``s_idx``.
+class PlanBatch:
+    """Per-path plans stored densely: rows are paths, columns grid nodes.
 
     ``nubar`` ledgers capacity additions (zero at the start node) and ``nu``
     the cumulative investment expenditure funding them.
@@ -36,51 +45,6 @@ class InvestmentPlan:
     def __post_init__(self):
         object.__setattr__(self, "nubar", _freeze(self.nubar))
         object.__setattr__(self, "nu", _freeze(self.nu))
-
-    @property
-    def initial_jump(self) -> float:
-        return float(self.nubar[1]) if self.nubar.size > 1 else 0.0
-
-
-def _expenditure_from_additions(coeffs: CoefficientSet, s_idx: int,
-                                decay: np.ndarray, nubar: np.ndarray) -> np.ndarray:
-    """Left-endpoint Stieltjes sum of decay / f_C against nubar increments."""
-    weights = decay[..., :-1] / coeffs.f_C[s_idx:-1][None, :]
-    increments = np.diff(nubar, axis=-1)
-    nu = np.zeros_like(nubar)
-    np.cumsum(weights * increments, axis=-1, out=nu[..., 1:])
-    return nu
-
-
-def build_control(curve: BoundaryCurve, path: CapacityPath, y: float,
-                  coeffs: CoefficientSet) -> InvestmentPlan:
-    """Tracking policy for one path: invest the minimum keeping capacity
-    at or above the boundary."""
-    if y <= 0:
-        raise ValueError("initial capacity must be positive")
-    if path.grid.n_steps != curve.grid.n_steps or np.any(path.grid.nodes != curve.grid.nodes):
-        raise ValueError("path and boundary curve must share the grid")
-    one = PathBatch(path.grid, path.s_idx, path.values[None, :], path.measure,
-                    seed=0, antithetic=False)
-    plans = build_controls(curve, one, y, coeffs)
-    return InvestmentPlan(path.s_idx, y, plans.nubar[0], plans.nu[0])
-
-
-@dataclass(frozen=True)
-class PlanBatch:
-    """Per-path plans stored densely: rows are paths, columns grid nodes."""
-
-    s_idx: int
-    y: float
-    nubar: np.ndarray
-    nu: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "nubar", _freeze(self.nubar))
-        object.__setattr__(self, "nu", _freeze(self.nu))
-
-    def plan(self, p: int) -> InvestmentPlan:
-        return InvestmentPlan(self.s_idx, self.y, self.nubar[p], self.nu[p])
 
 
 def build_controls(curve: BoundaryCurve, batch: PathBatch, y: float,
@@ -97,10 +61,9 @@ def build_controls(curve: BoundaryCurve, batch: PathBatch, y: float,
     return PlanBatch(s, y, nubar, nu)
 
 
-def controlled_capacity(path_values: np.ndarray, plan, y: Optional[float] = None) -> np.ndarray:
+def controlled_capacity(path_values: np.ndarray, plan) -> np.ndarray:
     """Capacity along the path under the plan: decay times (y + additions)."""
-    y0 = plan.y if y is None else y
-    return path_values * (y0 + plan.nubar)
+    return path_values * (plan.y + plan.nubar)
 
 
 @dataclass(frozen=True)

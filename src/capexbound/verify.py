@@ -332,17 +332,6 @@ class _FocWorkspace:
         return mean_and_se(vals, self.batch.antithetic)
 
 
-def supergradient_estimate(curve: BoundaryCurve, y: float, coeffs: CoefficientSet,
-                           prod: ProductionSpec, scrap: ScrapSpec, batch: PathBatch,
-                           rule: StoppingRule) -> tuple[float, float]:
-    """Monte-Carlo estimate of the profit supergradient at one stopping rule.
-
-    Paths stopping at the horizon contribute zero.  Returns estimate and SE.
-    """
-    ws = _FocWorkspace(curve, y, coeffs, prod, scrap, batch)
-    return ws.estimate(rule)
-
-
 @dataclass(frozen=True)
 class FOCEntry:
     y: float

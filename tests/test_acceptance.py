@@ -15,6 +15,7 @@ from scipy.optimize import minimize_scalar
 import capexbound as cb
 from capexbound import cli
 from capexbound.boundary import McConfig, SolverConfig
+from capexbound.paths import pair_means
 from capexbound.production import reduced_marginal, reduced_value, reduced_value_array
 from capexbound.verify import (
     Lattice,
@@ -204,7 +205,7 @@ def test_criterion_8_policy_dominance(stochastic_instance):
                         cb.constant_rate_plan(si["coeffs"], batch, y, rate))
     results = []
     for label, alt in (("zero", j_zero), ("constant-rate", j_const)):
-        diff = batch.pair_means(j_opt.per_path - alt.per_path)
+        diff = pair_means(j_opt.per_path - alt.per_path, batch.antithetic)
         se = float(np.std(diff, ddof=1) / np.sqrt(diff.size))
         results.append((label, float(np.mean(diff)), se))
     passed = all(mean >= -2 * se for _, mean, se in results)

@@ -140,6 +140,26 @@ class TestBadConfig:
         assert cli.main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+class TestBadCommandLine:
+    @pytest.mark.parametrize("command,flags", [
+        ("simulate", ["--y", "0"]),
+        ("simulate", ["--y", "-1"]),
+        ("simulate", ["--y", "nan"]),
+        ("simulate", ["--y", "inf"]),
+        ("simulate", ["--y", "0.5", "--dump-limit", "-5"]),
+        ("verify", ["--y", "-1"]),
+        ("verify", ["--y", "nan"]),
+    ])
+    def test_exits_2(self, solved_small, tmp_path, command, flags):
+        d, cfg, _ = solved_small
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", cfg, "--boundary", os.path.join(d, "solve", "boundary.csv"),
+                      "--out", str(out)] + flags)
+        assert exc.value.code == 2
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fuzz
 

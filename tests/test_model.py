@@ -12,7 +12,6 @@ from capexbound.model import (
     ZeroScrap,
     cumulative_integral,
     discount_step_masses,
-    integrate_rate,
     power_marginal,
     validate,
 )
@@ -45,40 +44,41 @@ class TestTimeGrid:
 
 
 class TestIntegrateRate:
+    """Integrals of a rate between grid nodes, as differences of the one
+    antiderivative ``cumulative_integral``."""
+
     def test_constant(self):
         g = TimeGrid.uniform(1.0, 10)
-        assert integrate_rate(g, 0.3, 0.2, 0.7) == pytest.approx(0.3 * 0.5, abs=1e-15)
+        cum = cumulative_integral(g, np.full(g.nodes.size, 0.3))
+        assert cum[7] - cum[2] == pytest.approx(0.3 * 0.5, abs=1e-15)
 
     def test_empty_interval(self):
         g = TimeGrid.uniform(1.0, 10)
-        assert integrate_rate(g, 5.0, 0.4, 0.4) == 0.0
+        assert cumulative_integral(g, np.full(g.nodes.size, 5.0))[0] == 0.0
 
     def test_linear_exact(self):
         g = TimeGrid.uniform(1.0, 100)
-        assert integrate_rate(g, lambda t: t, 0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_rejects_reversed_bounds(self):
-        g = TimeGrid.uniform(1.0, 10)
-        with pytest.raises(ValueError):
-            integrate_rate(g, 1.0, 0.8, 0.2)
+        assert cumulative_integral(g, g.nodes)[-1] == pytest.approx(0.5, abs=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0.0, 5.0), min_size=11, max_size=11),
-           st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    def test_additive(self, vals, x1, x2, x3):
+           st.integers(0, 10), st.integers(0, 10), st.integers(0, 10))
+    def test_additive(self, vals, k1, k2, k3):
         g = TimeGrid.uniform(1.0, 10)
-        a, b, c = sorted((x1, x2, x3))
-        whole = integrate_rate(g, vals, a, c)
-        split = integrate_rate(g, vals, a, b) + integrate_rate(g, vals, b, c)
+        a, b, c = sorted((k1, k2, k3))
+        cum = cumulative_integral(g, np.array(vals))
+        whole = cum[c] - cum[a]
+        split = (cum[b] - cum[a]) + (cum[c] - cum[b])
         assert split == pytest.approx(whole, abs=1e-12, rel=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0.0, 5.0), min_size=11, max_size=11),
-           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    def test_nonnegative(self, vals, x1, x2):
+           st.integers(0, 10), st.integers(0, 10))
+    def test_nonnegative(self, vals, k1, k2):
         g = TimeGrid.uniform(1.0, 10)
-        a, b = sorted((x1, x2))
-        assert integrate_rate(g, vals, a, b) >= 0.0
+        a, b = sorted((k1, k2))
+        cum = cumulative_integral(g, np.array(vals))
+        assert cum[b] - cum[a] >= 0.0
 
 
 class TestDiscountMasses:

@@ -4,8 +4,8 @@ import pytest
 import capexbound as cb
 from capexbound.boundary import BoundaryCurve, McConfig
 from capexbound.model import SyntheticMarginal
-from capexbound.paths import CapacityPath
-from capexbound.policy import InvestmentPlan, PlanBatch
+from capexbound.paths import pair_means
+from capexbound.policy import PlanBatch
 
 
 def flat_curve(grid, values):
@@ -14,9 +14,10 @@ def flat_curve(grid, values):
     return BoundaryCurve(grid, values, z, z, z, z.astype(int), meta={})
 
 
-def unit_path(grid, values=None):
-    vals = np.ones(grid.nodes.size) if values is None else np.asarray(values, float)
-    return CapacityPath(grid, 0, vals, cb.MEASURE_P)
+def unit_batch(grid):
+    """One path with no decay, so capacity moves only through the plan."""
+    return cb.PathBatch(grid, 0, np.ones((1, grid.nodes.size)), cb.MEASURE_P,
+                        seed=0, antithetic=False)
 
 
 ZERO_PROD = SyntheticMarginal(rc=lambda C: np.zeros_like(np.asarray(C, float)),
@@ -35,31 +36,31 @@ class TestBuildControl:
         grid = cb.TimeGrid.uniform(1.0, 3)
         coeffs = simple_coeffs(grid, sigma=0.0, mu_C=0.0)
         curve = flat_curve(grid, [2.0, 1.5, 1.8])
-        plan = cb.build_control(curve, unit_path(grid), 1.0, coeffs)
-        assert np.allclose(plan.nubar, [0.0, 1.0, 1.0, 1.0])
+        plans = cb.build_controls(curve, unit_batch(grid), 1.0, coeffs)
+        assert np.allclose(plans.nubar[0], [0.0, 1.0, 1.0, 1.0])
 
     def test_never_invest_above_boundary(self):
         grid = cb.TimeGrid.uniform(1.0, 3)
         coeffs = simple_coeffs(grid, sigma=0.0, mu_C=0.0)
         curve = flat_curve(grid, [2.0, 1.5, 1.8])
-        plan = cb.build_control(curve, unit_path(grid), 5.0, coeffs)
-        assert np.all(plan.nubar == 0.0)
-        assert np.all(plan.nu == 0.0)
+        plans = cb.build_controls(curve, unit_batch(grid), 5.0, coeffs)
+        assert np.all(plans.nubar == 0.0)
+        assert np.all(plans.nu == 0.0)
 
     def test_initial_jump(self):
         grid = cb.TimeGrid.uniform(1.0, 4)
         coeffs = simple_coeffs(grid, sigma=0.0, mu_C=0.0)
         curve = flat_curve(grid, [0.8, 0.7, 0.6, 0.5])
-        plan = cb.build_control(curve, unit_path(grid), 0.4, coeffs)
-        assert plan.nubar[0] == 0.0
-        assert plan.initial_jump == pytest.approx(0.8 - 0.4)
+        plans = cb.build_controls(curve, unit_batch(grid), 0.4, coeffs)
+        assert plans.nubar[0, 0] == 0.0
+        assert plans.nubar[0, 1] == pytest.approx(0.8 - 0.4)
 
     def test_rejects_nonpositive_start(self):
         grid = cb.TimeGrid.uniform(1.0, 3)
         coeffs = simple_coeffs(grid)
         curve = flat_curve(grid, [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
-            cb.build_control(curve, unit_path(grid), 0.0, coeffs)
+            cb.build_controls(curve, unit_batch(grid), 0.0, coeffs)
 
     def test_expenditure_stieltjes(self):
         grid = cb.TimeGrid.uniform(1.0, 3)
@@ -67,13 +68,13 @@ class TestBuildControl:
         batch = cb.simulate(coeffs, grid, 0, 2, cb.MEASURE_P, seed=0)
         curve = flat_curve(grid, [0.5, 0.55, 0.6])
         plans = cb.build_controls(curve, batch, 0.4, coeffs)
-        p = plans.plan(0)
+        nubar = plans.nubar[0]
         path = batch.values[0]
         manual = np.zeros(4)
         for k in range(1, 4):
-            manual[k] = sum(path[j] / coeffs.f_C[j] * (p.nubar[j + 1] - p.nubar[j])
+            manual[k] = sum(path[j] / coeffs.f_C[j] * (nubar[j + 1] - nubar[j])
                             for j in range(k))
-        assert np.allclose(p.nu, manual, rtol=1e-13)
+        assert np.allclose(plans.nu[0], manual, rtol=1e-13)
 
 
 class TestControlledCapacity:
@@ -188,7 +189,7 @@ class TestProfit:
         plans = cb.build_controls(curve, batch, y, coeffs)
         j_opt = cb.profit(coeffs, prod, scrap, batch, plans)
         j_zero = cb.profit(coeffs, prod, scrap, batch, cb.zero_plan(batch, y))
-        diff = batch.pair_means(j_opt.per_path - j_zero.per_path)
+        diff = pair_means(j_opt.per_path - j_zero.per_path, batch.antithetic)
         se = np.std(diff, ddof=1) / np.sqrt(diff.size)
         assert np.mean(diff) > 2 * se
 

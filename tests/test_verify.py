@@ -15,7 +15,6 @@ from capexbound.verify import (
     dp_stopping_value,
     dp_value,
     shadow_value_gap,
-    supergradient_estimate,
     trinomial_steps,
 )
 
@@ -27,6 +26,12 @@ def coeffs_for(grid, **over):
     base = dict(mu_C=0.1, sigma=0.2, f_C=1.0, mu_F=0.05, w=1.0, r=1.0)
     base.update(over)
     return cb.CoefficientSet.build(grid, **base)
+
+
+def supergradient(curve, y, coeffs, prod, scrap, batch, rule):
+    """Supergradient estimate and its standard error at one stopping rule."""
+    entry = check_foc(curve, [y], coeffs, prod, scrap, batch, rules=[rule]).entries[0]
+    return entry.estimate, entry.se
 
 
 def closed_form_instance(n):
@@ -208,8 +213,8 @@ class TestSupergradient:
         flat = BoundaryCurve(grid, np.full(10, 1e-12), np.zeros(10), np.zeros(10),
                              np.zeros(10), np.zeros(10, dtype=int), meta={})
         batch = cb.simulate(coeffs, grid, 0, 64, MEASURE_P, seed=0)
-        est, se = supergradient_estimate(flat, 1.0, coeffs, ZERO_PROD, cb.ZeroScrap(),
-                                         batch, StoppingRule.at_node(0))
+        est, se = supergradient(flat, 1.0, coeffs, ZERO_PROD, cb.ZeroScrap(),
+                                batch, StoppingRule.at_node(0))
         assert est == pytest.approx(-1.0, abs=1e-14)
         assert se == 0.0
 
@@ -220,8 +225,8 @@ class TestSupergradient:
         scrap = cb.SaturatingExponential(0.5, 1.0)
         curve = cb.solve_boundary(coeffs, prod, scrap, mc=McConfig(n_paths=4000, seed=1))
         batch = cb.simulate(coeffs, grid, 0, 8000, MEASURE_P, seed=2)
-        est, se = supergradient_estimate(curve, 0.5 * curve.values[0], coeffs, prod,
-                                         scrap, batch, StoppingRule.first_investment())
+        est, se = supergradient(curve, 0.5 * curve.values[0], coeffs, prod,
+                                scrap, batch, StoppingRule.first_investment())
         assert abs(est) <= 2 * se + 1e-9
 
     def test_negative_far_above_boundary(self):
@@ -231,8 +236,8 @@ class TestSupergradient:
         scrap = cb.SaturatingExponential(0.5, 1.0)
         curve = cb.solve_boundary(coeffs, prod, scrap, mc=McConfig(n_paths=4000, seed=1))
         batch = cb.simulate(coeffs, grid, 0, 8000, MEASURE_P, seed=2)
-        est, se = supergradient_estimate(curve, 3.0 * curve.values[0], coeffs, prod,
-                                         scrap, batch, StoppingRule.at_node(0))
+        est, se = supergradient(curve, 3.0 * curve.values[0], coeffs, prod,
+                                scrap, batch, StoppingRule.at_node(0))
         assert est < -2 * se
         assert est < 0
 
