@@ -18,6 +18,21 @@ Discretization conventions, shared with the policy and verification modules:
   makes the residual monotone in the candidate path by path and guarantees
   bisection convergence; the reported residual is re-estimated on a fresh
   batch.
+
+Two evaluators compute the same residual.  The dense one evaluates the
+marginal at every future argument of every path, so setting it up at a node
+costs O(paths x remaining nodes).  When the marginal is a negative power of
+capacity, the record-block evaluator gets the same sum from the records of
+the running supremum instead: along one full-horizon decay path cp, the
+supremum seen from node i is a step function of the later node whose steps are
+the records of yhat_l / cp_l, and a power marginal turns each block between
+two records into one precomputed weight.  Moving from node i+1 to node i
+pushes one record onto a per-path monotone stack, so a node's set-up and each
+of its evaluations cost O(paths x stack depth), and a solve grows linearly in
+the number of nodes instead of quadratically.
+The dense evaluator still runs where the power form does not hold: for other
+marginals, once an argument can reach the input box, and for candidates at or
+above the level where one could.
 """
 
 from __future__ import annotations
@@ -33,11 +48,12 @@ from .model import (
     ScrapSpec,
     TimeGrid,
     _freeze,
+    cumulative_integral,
     discount_step_masses,
     validate,
 )
 from .paths import MEASURE_Q, PathBatch, mean_and_se, running_sup_matrix, sample_decay
-from .production import reduced_marginal_array
+from .production import power_marginal_form, reduced_marginal_array
 
 
 class BracketError(AssumptionError):
@@ -98,12 +114,12 @@ class BoundaryCurve:
 
 
 class _NodeResidual:
-    """Residual evaluator at one node on a frozen set of decay paths.
+    """Dense residual evaluator at one node on a frozen set of decay paths.
 
-    When the production marginal is a pure power of capacity, the running
-    supremum lets every bisection iterate reuse the frozen paths' powered
-    ratios: max(F, b)^q = min(F^q, b^q) for q < 0, so iterates cost a few
-    elementwise passes and no transcendentals.
+    Every evaluation computes the reduced marginal at each path's argument on
+    every remaining step, so it serves any production spec and any input box.
+    The solver falls back to it where the record-block evaluator does not
+    apply, and ``residual`` uses it directly as the reference evaluator.
     """
 
     def __init__(self, coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
@@ -131,42 +147,8 @@ class _NodeResidual:
         if future.size:
             sup[:, 2:] = running_sup_matrix(decay[:, 1:], future)
         self.future_sup = sup
-        self._fast = self._build_fast_path()
-
-    def _build_fast_path(self):
-        from .production import power_marginal_form
-        form = power_marginal_form(self.prod, self.w_row[: self.m], self.r_row[: self.m])
-        if form is None:
-            return None
-        scale, q, cap = form
-        if q >= 0:
-            return None
-        F = self.future_sup[:, : self.m]
-        body = self.decay[:, : self.m]
-        # empty-window columns carry -inf; their powered value must stay +inf
-        # so that min(Fq, b^q) falls back to the candidate there
-        finite = np.isfinite(F)
-        Fq = np.where(finite, F, 1.0) ** q
-        Fq[~finite] = np.inf
-        weighted = (scale[None, :] * body ** q) * self.masses[None, :]
-        # the power form is only the interior marginal: find the largest
-        # candidate for which no argument can reach the binding region
-        with np.errstate(divide="ignore"):
-            safe_ratio = cap[None, :] / body
-        if np.any(F > safe_ratio):
-            return None
-        b_safe = float(np.min(safe_ratio))
-        return {"Fq": Fq, "weighted": weighted, "q": q, "b_safe": b_safe}
 
     def per_path(self, candidate: float) -> np.ndarray:
-        fast = self._fast
-        if fast is not None and candidate < fast["b_safe"]:
-            sq = np.minimum(fast["Fq"], candidate ** fast["q"])
-            running = np.einsum("ij,ij->i", sq, fast["weighted"])
-            sup_T = np.maximum(self.future_sup[:, self.m], candidate)
-            tail = self.terminal * np.asarray(
-                self.scrap.marginal(self.decay[:, self.m] * sup_T), dtype=float)
-            return running + tail
         sup = np.maximum(self.future_sup, candidate)
         args = self.decay * sup
         marg = reduced_marginal_array(self.prod, args[:, : self.m], self.w_row[: self.m], self.r_row[: self.m])
@@ -176,6 +158,163 @@ class _NodeResidual:
     def __call__(self, candidate: float) -> tuple[float, float]:
         if candidate <= 0:
             raise ValueError("candidate boundary level must be positive")
+        mean, se = mean_and_se(self.per_path(candidate), self.antithetic)
+        return mean - self.inv_fc, se
+
+
+class _BatchResidual:
+    """Residual evaluator for one frozen batch, stepped backward node by node.
+
+    ``cp`` holds the batch's decay paths from node 0 to the horizon.  ``at``
+    moves the evaluator to a node once the boundary after it is known; calls
+    then evaluate the residual there.
+
+    With a marginal scale_j * C^q, q < 0, the term of step j on one path is
+    scale_j * (cp_j * max(M_j, c / cp_i))^q * mass_j, where M_j is the
+    supremum of yhat_l / cp_l over i < l < j and the masses carry the discount
+    from node i.  That mass is e^{cum_i} times the step's mass from node 0,
+    so W_j = scale_j * cp_j^q * mass_j is fixed for the whole solve and the
+    term is e^{cum_i} * W_j * min(M_j^q, (c / cp_i)^q).  M is constant between
+    two records of yhat_l / cp_l; each path keeps its records on a monotone
+    stack (rows 1..depth of a padded array, the latest and largest record at
+    the bottom) together with the summed weight of the block each record
+    governs.  Row 0 holds the two steps whose window is still empty, where
+    only the candidate counts.  An evaluation is then one minimum and one
+    weighted sum over the stack rows plus the scrap term at the horizon.
+
+    The power form is only the interior marginal.  Once some path's supremum
+    reaches the input box on a remaining step the batch keeps the dense
+    evaluator for this and every earlier node, since the supremum only grows
+    going backward; a candidate at or above ``b_safe``, the smallest level at
+    which the candidate itself could reach the box, is evaluated densely too.
+    """
+
+    def __init__(self, coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
+                 cp: np.ndarray, antithetic: bool):
+        grid = coeffs.grid
+        n = grid.n_steps
+        n_paths = cp.shape[0]
+        self.coeffs = coeffs
+        self.prod = prod
+        self.scrap = scrap
+        self.antithetic = antithetic
+        self.n = n
+        # node-major, so every per-node row read is contiguous
+        self.cp = np.ascontiguousarray(cp.T)
+        self.node = n
+        self.future = None
+        self.dense = None
+        self.blocks_on = False
+        self.evals = 0
+        self.dense_nodes = 0
+        # (mean, max) stack depth of every node that ran on blocks alone
+        self.depths = []
+        form = power_marginal_form(prod, coeffs.w[:n], coeffs.r[:n])
+        if form is None or form[1] >= 0:
+            return
+        scale, self.q, cap = form
+        masses, self.terminal0 = discount_step_masses(grid, coeffs.bar_mu, 0)
+        self.growth = np.exp(cumulative_integral(grid, coeffs.bar_mu))
+        # one zero row past the last step keeps every block sum in range
+        self.weight = np.zeros((n + 1, n_paths))
+        np.multiply((scale * masses)[:, None], self.cp[:n] ** self.q, out=self.weight[:n])
+        # suffix minimum over steps j >= i of cap_j / cp_j: the largest
+        # supremum a path can carry from node i on without reaching the box
+        self.box_room = None
+        if not np.all(np.isinf(cap)):
+            room = np.full((n + 1, n_paths), np.inf)
+            np.divide(cap[:, None], self.cp[:n], out=room[:n])
+            np.minimum.accumulate(room[::-1], axis=0, out=room[::-1])
+            self.box_room = room
+        self.depth = np.zeros(n_paths, dtype=int)
+        self.rows = np.arange(n_paths)
+        self.stack_q = np.zeros((2, n_paths))
+        self.stack_q[0] = np.inf
+        self.stack_w = np.zeros((2, n_paths))
+        self.top_record = np.full(n_paths, -np.inf)
+        self.top = 0
+        self.blocks_on = True
+
+    def at(self, node: int, future: np.ndarray) -> None:
+        """Move to ``node``; ``future`` is the solved boundary after it."""
+        self.node = node
+        self.future = future
+        self.dense = None
+        self.inv_fc = 1.0 / float(self.coeffs.f_C[node])
+        if self.blocks_on and future.size:
+            record = future[0] / self.cp[node + 1]
+            # the new record governs steps node+2 onward; elsewhere the
+            # supremum either equals it or is unchanged since the later node,
+            # where it was checked already
+            if self.box_room is not None and np.any(record > self.box_room[node + 2]):
+                self.blocks_on = False
+            else:
+                self._push(record, node)
+        if not self.blocks_on:
+            return
+        cp_i = self.cp[node]
+        growth = float(self.growth[node])
+        self.stack_w[0] = self.weight[node] + self.weight[node + 1]
+        self.block_w = self.stack_w[: self.top + 1] * growth
+        self.block_q = self.stack_q[: self.top + 1]
+        self.cand_q = cp_i ** -self.q
+        cp_T = self.cp[self.n]
+        self.tail_floor = cp_T * self.top_record
+        self.tail_slope = cp_T / cp_i
+        self.tail_mass = growth * self.terminal0
+        self.b_safe = np.inf if self.box_room is None else float(np.min(cp_i * self.box_room[node]))
+        self.depths.append((float(self.depth.mean()), self.top))
+
+    def _push(self, record: np.ndarray, node: int) -> None:
+        rec_q = record ** self.q
+        acc = self.weight[node + 2].copy()
+        depth, stack_q, stack_w = self.depth, self.stack_q, self.stack_w
+        # pop every block whose record the new one dominates; after the
+        # first pass only the paths that popped can pop again
+        idx = self.rows
+        d = depth
+        while idx.size:
+            pop = (stack_q[d, idx] >= rec_q[idx]) & (d > 0)
+            idx = idx[pop]
+            d = d[pop]
+            acc[idx] += stack_w[d, idx]
+            stack_w[d, idx] = 0.0
+            d -= 1
+            depth[idx] = d
+        depth += 1
+        self.top = int(depth.max())
+        if self.top >= stack_q.shape[0]:
+            grow = np.zeros_like(stack_q)
+            self.stack_q = stack_q = np.concatenate([stack_q, grow])
+            self.stack_w = stack_w = np.concatenate([stack_w, grow])
+        stack_q[depth, self.rows] = rec_q
+        stack_w[depth, self.rows] = acc
+        np.maximum(self.top_record, record, out=self.top_record)
+
+    def _dense(self) -> _NodeResidual:
+        if self.dense is None:
+            i = self.node
+            decay = np.divide(self.cp[i:].T, self.cp[i][:, None], order="C")
+            self.dense = _NodeResidual(self.coeffs, self.prod, self.scrap, i, decay,
+                                       self.future, self.antithetic)
+            self.dense_nodes += 1
+            if self.blocks_on:
+                self.depths.pop()
+        return self.dense
+
+    def per_path(self, candidate: float) -> np.ndarray:
+        if not (self.blocks_on and candidate < self.b_safe):
+            return self._dense().per_path(candidate)
+        cand_q = self.cand_q * candidate ** self.q
+        running = np.einsum("dp,dp->p", self.block_w, np.minimum(self.block_q, cand_q))
+        tail = np.asarray(self.scrap.marginal(np.maximum(self.tail_floor, self.tail_slope * candidate)),
+                          dtype=float)
+        return running + self.tail_mass * tail
+
+    def __call__(self, candidate: float) -> tuple[float, float]:
+        if candidate <= 0:
+            raise ValueError("candidate boundary level must be positive")
+        self.evals += 1
         mean, se = mean_and_se(self.per_path(candidate), self.antithetic)
         return mean - self.inv_fc, se
 
@@ -293,10 +432,11 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
     # one Gaussian matrix per purpose drives every node: the sub-path from
     # node i is the column slice rescaled to start at one, so neighbouring
     # nodes share noise and the solved curve varies smoothly in time
-    cp_solve = sample_decay(coeffs, 0, mc.n_paths, MEASURE_Q, mc.seed, "solve", antithetic)
+    ev = _BatchResidual(coeffs, prod, scrap, sample_decay(
+        coeffs, 0, mc.n_paths, MEASURE_Q, mc.seed, "solve", antithetic), antithetic)
     # a fresh batch at sigma = 0 would be the same single row again
-    cp_audit = None if deterministic else sample_decay(
-        coeffs, 0, mc.n_paths, MEASURE_Q, mc.seed, "audit", antithetic)
+    ev_audit = None if deterministic else _BatchResidual(coeffs, prod, scrap, sample_decay(
+        coeffs, 0, mc.n_paths, MEASURE_Q, mc.seed, "audit", antithetic), antithetic)
 
     yhat = np.empty(n)
     res = np.empty(n)
@@ -307,8 +447,7 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
 
     guess = 1.0
     for i in range(n - 1, -1, -1):
-        decay = cp_solve[:, i:] / cp_solve[:, i:i + 1]
-        ev = _NodeResidual(coeffs, prod, scrap, i, decay, yhat[i + 1:], antithetic)
+        ev.at(i, yhat[i + 1:])
         root, its, se_frozen, val_unc = _bisect_node(ev, guess, tol_rel, solver, i)
         yhat[i] = root
         iters[i] = its
@@ -317,9 +456,8 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
         if deterministic:
             res[i], res_se[i] = ev(root)
         else:
-            decay_a = cp_audit[:, i:] / cp_audit[:, i:i + 1]
-            ev_a = _NodeResidual(coeffs, prod, scrap, i, decay_a, yhat[i + 1:], antithetic)
-            res[i], res_se[i] = ev_a(root)
+            ev_audit.at(i, yhat[i + 1:])
+            res[i], res_se[i] = ev_audit(root)
         guess = root
 
     meta = {
@@ -327,5 +465,12 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
         "deterministic": deterministic,
         "mc": None if deterministic else asdict(mc),
         "efficiency_ok": None if report is None else report.efficiency_ok,
+        "residual_evals": ev.evals + (0 if ev_audit is None else ev_audit.evals),
+        # evaluator use on the solve batch: a dense node built the dense
+        # evaluator for at least one candidate, a block node never did
+        "block_nodes": len(ev.depths),
+        "dense_nodes": ev.dense_nodes,
+        "block_depth_mean": float(np.mean([d[0] for d in ev.depths])) if ev.depths else 0.0,
+        "block_depth_max": max((d[1] for d in ev.depths), default=0),
     }
     return BoundaryCurve(grid, yhat, res, res_se, solver_se, iters, value_se, meta)

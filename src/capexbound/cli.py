@@ -83,8 +83,13 @@ def cmd_solve(args) -> int:
     curve = solve_boundary(cfg.coeffs, cfg.production, cfg.scrap, mc=mc,
                            solver=cfg.solver, allow_zero_scrap=args.allow_zero_scrap)
     elapsed = time.perf_counter() - t0
-    if curve.meta["deterministic"]:
+    meta = curve.meta
+    if meta["deterministic"]:
         log.info("sigma is identically zero: deterministic quadrature path")
+    log.info("solve: %d nodes, %d residual evaluations, evaluator block/dense nodes %d/%d, "
+             "block depth mean %.2f max %d", cfg.grid.n_steps, meta["residual_evals"],
+             meta["block_nodes"], meta["dense_nodes"], meta["block_depth_mean"],
+             meta["block_depth_max"])
     out_csv = os.path.join(args.out, "boundary.csv")
     artifacts.write_boundary_csv(out_csv, curve, cfg.model_hash, mc.seed)
     artifacts.write_manifest(os.path.join(args.out, "manifest.json"), {

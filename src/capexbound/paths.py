@@ -91,7 +91,8 @@ def mean_and_se(per_path: np.ndarray, antithetic: bool) -> tuple[float, float]:
     vals = pair_means(per_path, antithetic)
     n = vals.size
     if n < 2:
-        return float(np.mean(vals)), 0.0
+        # a mean over one element is that element, exactly
+        return float(vals[0]), 0.0
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n))
 
 

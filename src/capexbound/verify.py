@@ -377,7 +377,9 @@ class FOCReport:
                 worst = max(worst, abs(s.value) / s.se)
             elif abs(s.value) > self.atol:
                 worst = np.inf
-        return float(worst)
+        # no entry with a standard error and none beyond atol: nothing is
+        # violated, and the report must stay finite JSON
+        return 0.0 if worst == -np.inf else float(worst)
 
     def __str__(self) -> str:
         lines = []

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import warnings
 
@@ -136,6 +137,16 @@ class TestCliSolve:
         cfg = write_cfg(tmp_path, CLOSED_FORM)
         rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 3
+
+    def test_stochastic_solve_logs_evaluator_summary(self, tmp_path, caplog):
+        cfg = write_cfg(tmp_path, STOCHASTIC)
+        with caplog.at_level(logging.INFO, logger="capexbound"):
+            rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 0
+        lines = [r.getMessage() for r in caplog.records if r.name == "capexbound"]
+        assert len(lines) == 1
+        assert lines[0].startswith("solve: 25 nodes, ")
+        assert "evaluator block/dense nodes 25/0" in lines[0]
 
 
 @pytest.fixture(scope="module")

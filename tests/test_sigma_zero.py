@@ -66,6 +66,21 @@ def test_estimates_do_not_depend_on_path_count(solved, tmp_path, command, key):
     assert ses and all(se == 0.0 for se in ses)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_verify_report_is_strict_json(solved, tmp_path):
+    # every standard error is zero, so no entry has a z-score; the worst
+    # violation must still be a finite number
+    tmp, cfg, boundary = solved
+    out = str(tmp_path / "v")
+    assert cli.main(["verify", "--config", cfg, "--boundary", boundary, "--out", out]) == 0
+    with open(os.path.join(out, "report.json")) as fh:
+        report = json.loads(fh.read(), parse_constant=_reject_constant)
+    assert report["checks"]["foc"]["worst_violation_se"] == 0.0
+
+
 # getrusage's ru_maxrss would not do: Linux carries it across exec, so a
 # child of a large test process reports the parent's peak.  VmHWM is the peak
 # of the child's own address space.

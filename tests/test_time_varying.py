@@ -67,18 +67,19 @@ def test_lattice_oracle_agrees(varying):
 
 def test_fast_path_matches_generic_per_column_scales(varying):
     # time-varying wage and interest give every column its own marginal
-    # scale; the powered-ratio shortcut must agree with the direct route
-    from capexbound.boundary import _NodeResidual
+    # scale; the record-block evaluator must agree with the dense route
+    from capexbound.boundary import _BatchResidual, _NodeResidual
     v = varying
-    i = 7
-    batch = cb.simulate(v["coeffs"], v["grid"], i, 500, cb.MEASURE_Q, seed=5)
-    future = v["curve"].values[i + 1:]
-    ev = _NodeResidual(v["coeffs"], v["prod"], v["scrap"], i, batch.values,
-                       future, True)
-    assert ev._fast is not None
-    for b in (0.5 * v["curve"].values[i], v["curve"].values[i], 2.0 * v["curve"].values[i]):
-        fast = ev.per_path(float(b))
-        ev._fast = None
-        generic = ev.per_path(float(b))
-        ev._fast = ev._build_fast_path()
-        assert np.allclose(fast, generic, rtol=1e-11)
+    cp = cb.simulate(v["coeffs"], v["grid"], 0, 500, cb.MEASURE_Q, seed=5).values
+    values = v["curve"].values
+    ev = _BatchResidual(v["coeffs"], v["prod"], v["scrap"], cp, True)
+    for i in range(v["grid"].n_steps - 1, -1, -1):
+        ev.at(i, values[i + 1:])
+        if i != 7:
+            continue
+        assert ev.blocks_on and ev.dense is None
+        dense = _NodeResidual(v["coeffs"], v["prod"], v["scrap"], i,
+                              cp[:, i:] / cp[:, i:i + 1], values[i + 1:], True)
+        for b in (0.5 * values[i], values[i], 2.0 * values[i]):
+            assert np.allclose(ev.per_path(float(b)), dense.per_path(float(b)), rtol=1e-11)
+        assert ev.dense is None
