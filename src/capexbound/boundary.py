@@ -5,6 +5,10 @@ discounted expectation of future marginal profits evaluated along the running
 supremum of boundary-to-decay ratios, minus the replacement cost of capital.
 Solving proceeds backward in time; at each node the root is bracketed by
 geometric expansion around the previous node's solution and then bisected.
+The bisection is replayed rather than run: given the monotone residual, most
+midpoints' signs follow from a few probes placed near the predicted root, so
+a node costs a handful of evaluations and still ends on the bracket, the
+step count and the root that plain bisection reaches.
 
 Discretization conventions, shared with the policy and verification modules:
 
@@ -37,6 +41,7 @@ above the level where one could.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -61,7 +66,9 @@ class BracketError(AssumptionError):
 
 
 class ConvergenceError(RuntimeError):
-    """Bisection failed to reach the requested tolerance."""
+    """Bisection stopped short of a root: the residual was not decreasing
+    across the bracket (a NaN residual), or ``max_iter`` steps did not reach
+    the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -176,11 +183,14 @@ class _BatchResidual:
     so W_j = scale_j * cp_j^q * mass_j is fixed for the whole solve and the
     term is e^{cum_i} * W_j * min(M_j^q, (c / cp_i)^q).  M is constant between
     two records of yhat_l / cp_l; each path keeps its records on a monotone
-    stack (rows 1..depth of a padded array, the latest and largest record at
-    the bottom) together with the summed weight of the block each record
-    governs.  Row 0 holds the two steps whose window is still empty, where
-    only the candidate counts.  An evaluation is then one minimum and one
-    weighted sum over the stack rows plus the scrap term at the horizon.
+    stack together with the summed weight of the block each record governs.
+    Row ``top`` of a padded array holds every path's top, the latest and
+    smallest record, so that a push compares and replaces one contiguous row;
+    the records beneath it fill rows 1..below, largest at row 1, and the
+    rows between are zero-weight padding.  Row 0 holds the two steps whose
+    window is still empty, where only the candidate counts.  An evaluation is
+    then one minimum and one weighted sum over the stack rows plus the scrap
+    term at the horizon.
 
     The power form is only the interior marginal.  Once some path's supremum
     reaches the input box on a remaining step the batch keeps the dense
@@ -226,8 +236,8 @@ class _BatchResidual:
             np.divide(cap[:, None], self.cp[:n], out=room[:n])
             np.minimum.accumulate(room[::-1], axis=0, out=room[::-1])
             self.box_room = room
-        self.depth = np.zeros(n_paths, dtype=int)
-        self.rows = np.arange(n_paths)
+        # records under each path's top; no top before the first push
+        self.below = np.zeros(n_paths, dtype=int)
         self.stack_q = np.zeros((2, n_paths))
         self.stack_q[0] = np.inf
         self.stack_w = np.zeros((2, n_paths))
@@ -240,6 +250,7 @@ class _BatchResidual:
         self.node = node
         self.future = future
         self.dense = None
+        self.last = None, None
         self.inv_fc = 1.0 / float(self.coeffs.f_C[node])
         if self.blocks_on and future.size:
             record = future[0] / self.cp[node + 1]
@@ -263,32 +274,44 @@ class _BatchResidual:
         self.tail_slope = cp_T / cp_i
         self.tail_mass = growth * self.terminal0
         self.b_safe = np.inf if self.box_room is None else float(np.min(cp_i * self.box_room[node]))
-        self.depths.append((float(self.depth.mean()), self.top))
+        depth = self.below + 1 if self.top else self.below
+        self.depths.append((float(depth.mean()), self.top))
 
     def _push(self, record: np.ndarray, node: int) -> None:
         rec_q = record ** self.q
         acc = self.weight[node + 2].copy()
-        depth, stack_q, stack_w = self.depth, self.stack_q, self.stack_w
-        # pop every block whose record the new one dominates; after the
-        # first pass only the paths that popped can pop again
-        idx = self.rows
-        d = depth
-        while idx.size:
-            pop = (stack_q[d, idx] >= rec_q[idx]) & (d > 0)
-            idx = idx[pop]
-            d = d[pop]
-            acc[idx] += stack_w[d, idx]
-            stack_w[d, idx] = 0.0
-            d -= 1
-            depth[idx] = d
-        depth += 1
-        self.top = int(depth.max())
+        top, below = self.top, self.below
+        stack_q, stack_w = self.stack_q, self.stack_w
+        if top:
+            # pop every block whose record the new one dominates: the tops
+            # first, then below the popped tops, where only the paths that
+            # popped can pop again
+            pop = stack_q[top] >= rec_q
+            np.add(acc, stack_w[top], out=acc, where=pop)
+            idx = np.flatnonzero(pop & (below > 0))
+            while idx.size:
+                d = below[idx]
+                hit = stack_q[d, idx] >= rec_q[idx]
+                idx, d = idx[hit], d[hit]
+                acc[idx] += stack_w[d, idx]
+                stack_w[d, idx] = 0.0
+                below[idx] = d - 1
+                idx = idx[d > 1]
+            # a top that stays goes one row deeper, under the new one
+            keep = np.flatnonzero(~pop)
+            kept_q, kept_w = stack_q[top, keep], stack_w[top, keep]
+            below[keep] += 1
+            stack_w[top] = 0.0
+        self.top = int(below.max()) + 1
         if self.top >= stack_q.shape[0]:
             grow = np.zeros_like(stack_q)
             self.stack_q = stack_q = np.concatenate([stack_q, grow])
             self.stack_w = stack_w = np.concatenate([stack_w, grow])
-        stack_q[depth, self.rows] = rec_q
-        stack_w[depth, self.rows] = acc
+        if top:
+            stack_q[below[keep], keep] = kept_q
+            stack_w[below[keep], keep] = kept_w
+        stack_q[self.top] = rec_q
+        stack_w[self.top] = acc
         np.maximum(self.top_record, record, out=self.top_record)
 
     def _dense(self) -> _NodeResidual:
@@ -314,9 +337,13 @@ class _BatchResidual:
     def __call__(self, candidate: float) -> tuple[float, float]:
         if candidate <= 0:
             raise ValueError("candidate boundary level must be positive")
-        self.evals += 1
-        mean, se = mean_and_se(self.per_path(candidate), self.antithetic)
-        return mean - self.inv_fc, se
+        # the solve asks again for the residual at its root when the batch
+        # doubles as the audit one (sigma = 0)
+        if candidate != self.last[0]:
+            self.evals += 1
+            mean, se = mean_and_se(self.per_path(candidate), self.antithetic)
+            self.last = candidate, (mean - self.inv_fc, se)
+        return self.last[1]
 
 
 def residual(node: int, candidate: float, future: np.ndarray, batch: PathBatch,
@@ -351,38 +378,237 @@ def _gate_assumptions(coeffs, prod, scrap, allow_zero_scrap, run_validation):
     return report
 
 
-def _bisect_node(ev: _NodeResidual, guess: float, tol_rel: float, cfg: SolverConfig,
-                 node: int) -> tuple[float, int, float]:
-    lo = 0.5 * guess
-    hi = 2.0 * guess
-    res_lo, _ = ev(lo)
-    while res_lo <= 0.0:
-        lo *= 0.5
-        if lo < cfg.bracket_floor:
-            raise BracketError(f"node {node}: no sign change down to {cfg.bracket_floor:g}")
-        res_lo, _ = ev(lo)
-    res_hi, _ = ev(hi)
-    while res_hi >= 0.0:
-        hi *= 2.0
-        if hi > cfg.bracket_ceil:
-            raise BracketError(f"node {node}: no sign change up to {cfg.bracket_ceil:g}")
-        res_hi, _ = ev(hi)
-    if not res_lo > res_hi:
-        raise ConvergenceError(f"node {node}: residual not decreasing across the bracket")
-    iters = 0
-    while hi - lo > tol_rel * 0.5 * (hi + lo):
-        iters += 1
-        if iters > cfg.max_iter:
-            raise ConvergenceError(f"node {node}: tolerance {tol_rel:g} not reached "
-                                   f"after {cfg.max_iter} bisection steps")
-        mid = 0.5 * (lo + hi)
-        res_mid, _ = ev(mid)
-        if res_mid > 0.0:
-            lo, res_lo = mid, res_mid
+# the sign tests of plain bisection's bracket on the residual r at a
+# candidate: a lower end holds unless r <= 0, an upper one unless r >= 0; a
+# midpoint becomes the lower end if r > 0, which differs from the first only
+# on NaN
+_LO, _HI = 0, 1
+
+
+class _Replay:
+    """Plain bisection of one node's residual, replayed from few evaluations.
+
+    ``walk`` runs the control flow of plain bisection: the bracket
+    [guess/2, 2 guess] with its geometric expansions, the midpoints, the stop
+    test and every error.  Each sign it needs comes from an evaluation at
+    that candidate if there is one, else from the evaluated points that
+    settle it -- on a non-increasing residual a point with r > 0 settles
+    r > 0 at every candidate at or below it, one with r <= 0 settles r <= 0
+    at or above it, and one with r < 0 settles r < 0 at or above it -- and
+    else it is predicted from ``aim``, the running root estimate, and left
+    open.  ``run`` evaluates one probe per walk that leaves a sign open, so
+    the walk it ends with took every sign from evaluations and its outcome
+    is the one plain bisection reaches.
+
+    Probes lie on candidates of the walk: the open end of its final interval
+    nearest ``aim``, or its first open candidate, which is one plain
+    bisection evaluates.  ``aim`` starts at the caller's prediction.  Until
+    a sign change is found it then moves by residual over ``slope`` (the
+    previous node's bracket slope), later by the secant through the last two
+    probes, doubling the step where that secant does not fall; after it, by
+    Illinois regula falsi between the nearest points on either side.  The
+    probes near ``aim`` may run at most ``_LEAD`` evaluations ahead of the
+    signs settled on plain bisection's own path, else the first open
+    candidate is probed; so on a monotone residual no node costs more than
+    ``_LEAD + 2`` evaluations over plain bisection.  A non-finite residual
+    ends inference: from then on a sign comes only from an evaluation at the
+    candidate itself, in plain bisection's order, so NaN meets the same
+    comparisons and errors as there.
+    """
+
+    _LEAD = 4
+
+    def __init__(self, ev, guess: float, tol_rel: float, cfg: SolverConfig, node: int,
+                 aim: float, slope: float | None):
+        self.ev = ev
+        self.guess = guess
+        self.tol_rel = tol_rel
+        self.cfg = cfg
+        self.node = node
+        self.seen = {}
+        self.infer = True
+        # largest candidate with r > 0, smallest with r <= 0, smallest with
+        # r < 0 and largest with r >= 0
+        self.pos, self.nonpos, self.neg, self.nonneg = -np.inf, np.inf, np.inf, -np.inf
+        self.aim = aim if 0.0 < aim < np.inf else guess
+        self.follow_aim = True
+        self.slope = slope if slope is not None and 0.0 < slope < np.inf else None
+        # before a sign change: the last probe and the step taken from it
+        self.last = None
+        self.step = 0.0
+        # Illinois state: residuals weighting pos and nonpos, last end moved
+        self.f_pos = self.f_nonpos = 0.0
+        self.moved = 0
+        self.first = None
+        self.open = False
+        # signs taken in the current walk, and those before its first open one
+        self.signs = self.settled = 0
+        # bracket, step count and signs just before the first open midpoint
+        self.resume = None
+
+    def value(self, x: float) -> tuple[float, float]:
+        if x not in self.seen:
+            self.seen[x] = self.ev(x)
+        return self.seen[x]
+
+    def sign(self, x: float, test: int) -> bool:
+        """Outcome of ``test`` at ``x``: evaluated, settled or predicted."""
+        self.open = False
+        self.signs += 1
+        if test == _HI:
+            if x >= self.neg:
+                return True
+            if x <= self.nonneg:
+                return False
         else:
-            hi, res_hi = mid, res_mid
+            if x <= self.pos:
+                return True
+            if x >= self.nonpos:
+                return False
+        known = self.seen.get(x)
+        if known is not None:
+            r = known[0]
+            return not (r <= 0.0 if test == _LO else r >= 0.0)
+        self.open = True
+        if self.first is None:
+            self.first = x
+            self.settled = self.signs - 1
+        return x > self.aim if test == _HI else x < self.aim
+
+    def walk(self):
+        cfg, node = self.cfg, self.node
+        self.first = None
+        if self.resume is not None:
+            # every sign before the last walk's first open one still holds
+            lo, hi, iters, self.signs = self.resume
+            lo_open = hi_open = False
+        else:
+            self.signs = 0
+            lo = 0.5 * self.guess
+            hi = 2.0 * self.guess
+            while not self.sign(lo, _LO):
+                lo *= 0.5
+                if lo < cfg.bracket_floor:
+                    raise BracketError(f"node {node}: no sign change down to {cfg.bracket_floor:g}")
+            lo_open = self.open
+            while not self.sign(hi, _HI):
+                hi *= 2.0
+                if hi > cfg.bracket_ceil:
+                    raise BracketError(f"node {node}: no sign change up to {cfg.bracket_ceil:g}")
+            hi_open = self.open
+            # with signs from evaluations this holds unless a residual is NaN
+            if lo in self.seen and hi in self.seen and not self.seen[lo][0] > self.seen[hi][0]:
+                raise ConvergenceError(f"node {node}: residual not decreasing across the bracket")
+            iters = 0
+        # the midpoint loop runs once per walk and probe, so ``sign`` is
+        # inlined there
+        tol_rel, pos, nonpos, aim, seen = self.tol_rel, self.pos, self.nonpos, self.aim, self.seen
+        while hi - lo > tol_rel * 0.5 * (hi + lo):
+            iters += 1
+            if iters > cfg.max_iter:
+                raise ConvergenceError(f"node {node}: tolerance {tol_rel:g} not reached "
+                                       f"after {cfg.max_iter} bisection steps")
+            mid = 0.5 * (lo + hi)
+            if mid <= pos:
+                lo, lo_open = mid, False
+            elif mid >= nonpos:
+                hi, hi_open = mid, False
+            else:
+                known = seen.get(mid)
+                is_open = known is None
+                if is_open and self.first is None:
+                    self.first = mid
+                    self.settled = self.signs + iters - 1
+                    self.resume = lo, hi, iters - 1, self.signs
+                if (mid < aim) if is_open else (known[0] > 0.0):
+                    lo, lo_open = mid, is_open
+                else:
+                    hi, hi_open = mid, is_open
+        return lo, hi, iters, lo_open, hi_open
+
+    def run(self) -> tuple[float, float, int]:
+        """Final bracket and step count of plain bisection."""
+        while True:
+            try:
+                lo, hi, iters, lo_open, hi_open = self.walk()
+            except (BracketError, ConvergenceError):
+                if self.first is None:
+                    raise
+                self.probe(self.first)
+                continue
+            if self.first is None:
+                return lo, hi, iters
+            ends = [x for x, is_open in ((lo, lo_open), (hi, hi_open)) if is_open]
+            if (self.infer and self.follow_aim and ends
+                    and len(self.seen) - self.settled < self._LEAD):
+                self.probe(min(ends, key=lambda x: abs(x - self.aim)))
+            else:
+                self.probe(self.first)
+
+    def probe(self, x: float) -> None:
+        r = self.value(x)[0]
+        if not self.infer:
+            return
+        if not math.isfinite(r):
+            self.infer = False
+            self.resume = None
+            self.pos, self.nonpos, self.neg, self.nonneg = -np.inf, np.inf, np.inf, -np.inf
+            return
+        bracketed = self.pos > -np.inf and self.nonpos < np.inf
+        # an open candidate lies above pos, and below nonpos unless it was an
+        # upper bracket end at or above a zero of the residual
+        if r > 0.0:
+            self.pos, self.f_pos = x, r
+            self.nonneg = max(self.nonneg, x)
+        else:
+            if x < self.nonpos:
+                self.nonpos, self.f_nonpos = x, r
+            if r < 0.0:
+                self.neg = min(self.neg, x)
+            else:
+                self.nonneg = max(self.nonneg, x)
+        moved = 1 if r > 0.0 else -1
+        if self.pos > -np.inf and self.nonpos < np.inf:
+            if bracketed and moved == self.moved:
+                if moved > 0:
+                    self.f_nonpos *= 0.5
+                else:
+                    self.f_pos *= 0.5
+            self.moved = moved
+            self.follow_aim = True
+            self.aim = self.pos + self.f_pos * (self.nonpos - self.pos) / (self.f_pos - self.f_nonpos)
+        elif self.slope is not None:
+            step = r / self.slope
+            if self.last is not None:
+                last_x, last_r = self.last
+                secant = (last_r - r) / (x - last_x)
+                step = r / secant if secant > 0.0 else math.copysign(2.0 * abs(self.step), step)
+            self.last = x, r
+            self.step = step
+            self.aim = x + step if x + step > 0.0 else 0.5 * x
+        else:
+            self.follow_aim = False
+
+
+def _bisect_node(ev, guess: float, tol_rel: float, cfg: SolverConfig, node: int,
+                 aim: float | None = None,
+                 slope: float | None = None) -> tuple[float, int, float, float]:
+    """Root of one node's residual, bit for bit the one plain bisection finds.
+
+    Plain bisection brackets the root by halving ``guess/2`` and doubling
+    ``2 guess`` and bisects to ``tol_rel``; ``_Replay`` reaches its final
+    bracket and step count from a few evaluations, given a residual that is
+    non-increasing in the candidate.  ``aim`` predicts the root (``guess`` by
+    default) and ``slope`` the residual's slope, to place those evaluations.
+    Returns the root, the bisection steps, and the root's uncertainty in
+    residual and in boundary units.
+    """
+    replay = _Replay(ev, guess, tol_rel, cfg, node, guess if aim is None else aim, slope)
+    lo, hi, iters = replay.run()
+    res_lo = replay.value(lo)[0]
+    res_hi = replay.value(hi)[0]
     root = 0.5 * (lo + hi)
-    _, se_at_root = ev(root)
+    se_at_root = replay.value(root)[1]
     # residual uncertainty carried by the root: Monte-Carlo noise of the frozen
     # batch plus the final bracket width times the local slope; the same two
     # pieces expressed in boundary units give the root's own standard error
@@ -399,8 +625,11 @@ def solve_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpe
 
     Each node freezes one batch of changed-measure paths, brackets the root
     geometrically around the previous node's solution (1.0 at the last node)
-    and bisects to relative tolerance.  The residual at the returned value is
-    then re-estimated on a fresh batch and reported with its standard error.
+    and bisects to relative tolerance.  The bisection is replayed from a few
+    probes near the root extrapolated from the two later nodes, with the
+    result of plain bisection on the frozen batch.  The residual at the
+    returned value is then re-estimated on a fresh batch and reported with
+    its standard error.
 
     A volatility-free instance has a single decay path: it is solved on that
     one row, whatever ``mc`` says, to the deterministic tolerance, and its
@@ -445,10 +674,11 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
     value_se = np.empty(n)
     iters = np.empty(n, dtype=int)
 
-    guess = 1.0
+    guess = aim = 1.0
+    slope = None
     for i in range(n - 1, -1, -1):
         ev.at(i, yhat[i + 1:])
-        root, its, se_frozen, val_unc = _bisect_node(ev, guess, tol_rel, solver, i)
+        root, its, se_frozen, val_unc = _bisect_node(ev, guess, tol_rel, solver, i, aim, slope)
         yhat[i] = root
         iters[i] = its
         solver_se[i] = se_frozen
@@ -458,6 +688,10 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
         else:
             ev_audit.at(i, yhat[i + 1:])
             res[i], res_se[i] = ev_audit(root)
+        # the next node's root, extrapolated from the last two, and the
+        # bracket slope: the root's uncertainty in residual over boundary units
+        aim = 2.0 * root - yhat[i + 1] if i + 1 < n else root
+        slope = se_frozen / val_unc
         guess = root
 
     meta = {
@@ -466,6 +700,9 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
         "mc": None if deterministic else asdict(mc),
         "efficiency_ok": None if report is None else report.efficiency_ok,
         "residual_evals": ev.evals + (0 if ev_audit is None else ev_audit.evals),
+        # midpoints plain bisection would have evaluated, most of them
+        # settled without an evaluation
+        "bisect_steps": int(iters.sum()),
         # evaluator use on the solve batch: a dense node built the dense
         # evaluator for at least one candidate, a block node never did
         "block_nodes": len(ev.depths),

@@ -86,8 +86,9 @@ def cmd_solve(args) -> int:
     meta = curve.meta
     if meta["deterministic"]:
         log.info("sigma is identically zero: deterministic quadrature path")
-    log.info("solve: %d nodes, %d residual evaluations, evaluator block/dense nodes %d/%d, "
-             "block depth mean %.2f max %d", cfg.grid.n_steps, meta["residual_evals"],
+    log.info("solve: %d nodes, %d residual evaluations for %d bisection steps, "
+             "evaluator block/dense nodes %d/%d, block depth mean %.2f max %d",
+             cfg.grid.n_steps, meta["residual_evals"], meta["bisect_steps"],
              meta["block_nodes"], meta["dense_nodes"], meta["block_depth_mean"],
              meta["block_depth_max"])
     out_csv = os.path.join(args.out, "boundary.csv")
