@@ -34,8 +34,8 @@ two records into one precomputed weight.  Moving from node i+1 to node i
 pushes one record onto a per-path monotone stack, so a node's set-up and each
 of its evaluations cost O(paths x stack depth), and a solve grows linearly in
 the number of nodes instead of quadratically.
-The dense evaluator still runs where the power form does not hold: for other
-marginals, once an argument can reach the input box, and for candidates at or
+The dense evaluator still runs where that does not hold: for a constant
+marginal, once an argument can reach the input box, and for candidates at or
 above the level where one could.
 """
 
@@ -220,7 +220,7 @@ class _BatchResidual:
         # (mean, max) stack depth of every node that ran on blocks alone
         self.depths = []
         form = power_marginal_form(prod, coeffs.w[:n], coeffs.r[:n])
-        if form is None or form[1] >= 0:
+        if form[1] >= 0:
             return
         scale, self.q, cap = form
         masses, self.terminal0 = discount_step_masses(grid, coeffs.bar_mu, 0)

@@ -205,7 +205,7 @@ def cmd_verify(args) -> int:
         "model_hash": cfg.model_hash,
         "seed": mc.seed,
         "timings": {"verify_s": elapsed},
-        "tolerances": {"foc_se_units": 2.0, "cross_gap": cfg.cross_gap},
+        "tolerances": {"foc_se_units": foc.tol_se, "cross_gap": cfg.cross_gap},
         "checks": {
             "foc": {"passed": foc.passed, "worst_violation_se": foc.worst_violation_se,
                     "entries": [{"y": e.y, "rule": e.rule, "estimate": e.estimate, "se": e.se}

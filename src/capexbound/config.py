@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
@@ -108,8 +109,10 @@ def parse_config(raw: dict) -> RunConfig:
 
     gsec = raw["grid"]
     _require_keys("grid", gsec, {"T", "N"}, {"T", "N"})
+    horizon = _number("grid", "T", gsec["T"], float)
+    n_steps = _number("grid", "N", gsec["N"], int)
     try:
-        grid = TimeGrid.uniform(float(gsec["T"]), int(gsec["N"]))
+        grid = TimeGrid.uniform(horizon, n_steps)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -142,14 +145,18 @@ def parse_config(raw: dict) -> RunConfig:
     tol = {"tol_y": d.tol_rel, "tol_y_det": d.tol_rel_det, "max_iter": d.max_iter,
            "cross_gap": 0.10}
     tol = {k: _number("tolerances", k, tsec.get(k, v), type(v)) for k, v in tol.items()}
+    if min(tol["tol_y"], tol["tol_y_det"], tol["cross_gap"]) <= 0 or tol["max_iter"] < 1:
+        raise ConfigError("tolerances: need tol_y, tol_y_det and cross_gap > 0 and max_iter >= 1")
     solver = SolverConfig(tol_rel=tol["tol_y"], tol_rel_det=tol["tol_y_det"],
                           max_iter=tol["max_iter"])
 
     msec = raw.get("mc", {})
     _require_keys("mc", msec, _MC_KEYS)
+    antithetic = msec.get("antithetic", True)
+    if not isinstance(antithetic, bool):
+        raise ConfigError(f"mc.antithetic: expected true or false, got {antithetic!r}")
     mc = checked_mc(_number("mc", "paths", msec.get("paths", 20000), int),
-                    _number("mc", "seed", msec.get("seed", 0), int),
-                    bool(msec.get("antithetic", True)))
+                    _number("mc", "seed", msec.get("seed", 0), int), antithetic)
 
     lattice = raw.get("lattice")
     if lattice is not None:
@@ -173,10 +180,16 @@ def checked_mc(n_paths: int, seed: int, antithetic: bool) -> McConfig:
 
 
 def _number(section: str, key: str, value, kind):
+    """``value`` as a finite ``kind``; float() passes NaN and infinity through
+    and int() truncates 2.7, so both are refused here."""
     try:
-        return kind(value)
+        number = kind(value)
+        exact = math.isfinite(number) and (isinstance(value, str) or number == value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{section}.{key}: expected a number, got {value!r}") from exc
+    if not exact:
+        raise ConfigError(f"{section}.{key}: expected a finite {kind.__name__}, got {value!r}")
+    return number
 
 
 def _coerce_function(name: str, spec, grid: TimeGrid):

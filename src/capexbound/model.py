@@ -164,6 +164,8 @@ class CoefficientSet:
             fcp = _central_differences(grid.nodes, arrs["f_C"])
         else:
             fcp = sample_on_grid(grid, f_C_prime)
+        if not np.all(np.isfinite(fcp)):
+            raise ValueError("non-finite values in coefficient 'f_C_prime'")
         return cls(grid=grid, f_C_prime=fcp, eps_o=eps_o, bounds=dict(bounds or {}), **arrs)
 
     @property
@@ -212,11 +214,12 @@ class CobbDouglas:
     kappa_K: float = 1e6
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) <= 0:
+        # written so that NaN fails every test
+        if not all(x > 0 for x in (self.alpha, self.beta, self.gamma)):
             raise ValueError("Cobb-Douglas exponents must be positive")
-        if self.alpha + self.beta + self.gamma >= 1:
+        if not self.alpha + self.beta + self.gamma < 1:
             raise ValueError("Cobb-Douglas exponents must sum below one")
-        if min(self.kappa_L, self.kappa_K) <= 0:
+        if not (self.kappa_L > 0 and self.kappa_K > 0):
             raise ValueError("input box bounds must be positive")
 
     def raw(self, C, L, K):
@@ -226,33 +229,38 @@ class CobbDouglas:
 
 @dataclass(frozen=True)
 class SyntheticMarginal:
-    """Directly specified marginal profit rate, bypassing the input layer.
+    """Directly specified marginal profit rate scale * C^(-exponent),
+    bypassing the input layer.
 
-    ``rc`` must be positive and strictly decreasing with rc(0+) large and
-    rc(inf) = 0 for the boundary equation to be well posed.  ``antiderivative``
-    fixes the profit level; consumers only ever need one consistent choice.
+    The boundary equation is well posed for a positive scale and exponent,
+    the only ones ``power_marginal`` builds; a zero scale or exponent gives
+    the degenerate zero or constant marginal.  ``value`` fixes the profit
+    level; consumers only ever need one consistent antiderivative.
     """
 
-    rc: Callable
-    antiderivative: Optional[Callable] = None
-    power_exponent: Optional[float] = None
-    power_scale: Optional[float] = None
+    power_scale: float
+    power_exponent: float
+
+    def __post_init__(self):
+        if not (self.power_scale >= 0 and self.power_exponent >= 0):
+            raise ValueError("synthetic marginal needs scale >= 0 and exponent >= 0")
+
+    def marginal(self, C):
+        return self.power_scale * np.asarray(C, dtype=float) ** (-self.power_exponent)
+
+    def value(self, C):
+        scale, exponent = self.power_scale, self.power_exponent
+        if exponent == 1.0:
+            return scale * np.log(C)
+        return scale * np.asarray(C) ** (1.0 - exponent) / (1.0 - exponent)
 
 
 def power_marginal(scale: float, exponent: float) -> SyntheticMarginal:
-    """rc(C) = scale * C^(-exponent) with its antiderivative."""
+    """The ``power_marginal`` config variant: marginal scale * C^(-exponent)
+    with a positive scale and exponent."""
     if scale <= 0 or exponent <= 0:
         raise ValueError("power marginal needs positive scale and exponent")
-    if exponent == 1.0:
-        anti = lambda C: scale * np.log(C)
-    else:
-        anti = lambda C: scale * np.asarray(C) ** (1.0 - exponent) / (1.0 - exponent)
-    return SyntheticMarginal(
-        rc=lambda C: scale * np.asarray(C, dtype=float) ** (-exponent),
-        antiderivative=anti,
-        power_exponent=exponent,
-        power_scale=scale,
-    )
+    return SyntheticMarginal(power_scale=scale, power_exponent=exponent)
 
 
 ProductionSpec = Union[CobbDouglas, SyntheticMarginal]
@@ -266,7 +274,7 @@ class SaturatingExponential:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
+        if not (self.a > 0 and self.b > 0):
             raise ValueError("saturating-exponential scrap needs positive a, b")
 
     def value(self, C):

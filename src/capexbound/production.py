@@ -1,25 +1,25 @@
 """Reduced production profit: optimal input choice on the box and the
 resulting value and marginal in capacity.
 
-For the Cobb-Douglas technology every regime of the input choice is a power
-law in capacity, so value and marginal are closed forms evaluated on whole
-arrays; no numerical maximizer is involved.  Let e_L = ln L^ - ln kappa_L and
-e_K = ln K^ - ln kappa_K be the log excesses of the unconstrained stationary
-point (L^, K^) over the box.  The KKT regimes are
-
-* interior: e_L <= 0 and e_K <= 0, the optimum is (L^, K^);
-* L capped: L = kappa_L and K follows its edge response, below kappa_K;
-* K capped: K = kappa_K and L follows its edge response, below kappa_L;
-* corner: both inputs at their caps.
-
-Outside the interior the input with the larger excess sits at its cap.  The
-edge responses are power laws in C and in logs shift the interior level by
-a multiple of the other input's excess, which gives the one formula in
-``_cd_optimal_logs`` for all four regimes.
+For the Cobb-Douglas technology the optimal revenue R*(C) is the minimum of
+four power laws in capacity, one per KKT regime of the input choice:
+interior, labour capped at kappa_L, capital capped at kappa_K, and the
+corner.  At the optimum L* = min(beta R*/w, kappa_L) and
+K* = min(gamma R*/r, kappa_K), so ln R* is the fixed point of
+x = a ln C + b min(ln(beta/w) + x, ln kappa_L) + g min(ln(gamma/r) + x,
+ln kappa_K) - ln(alpha beta gamma).  Its right side is the minimum of four
+affine maps of x with slopes below one, and the fixed point of such a
+minimum is the minimum of their fixed points.  By the envelope theorem the
+marginal is alpha R*/C, so its log is the minimum of four lines in ln C.
+The interior line alone holds below the first break, the capacity where
+either input reaches its cap.  Everything else follows from R*: the inputs
+above, the value R* - w L* - r K* and the marginal.  No numerical maximizer
+is involved, and every operation runs on whole arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,70 +43,50 @@ class InputChoice:
 # ---------------------------------------------------------------------------
 # Cobb-Douglas internals
 
-def _cd_interior_logs(prod: CobbDouglas, C, w, r):
-    """Log of the unconstrained stationary point (L, K) at capacity C > 0."""
-    a, b, g = prod.alpha, prod.beta, prod.gamma
-    C = np.asarray(C, dtype=float)
-    w = np.asarray(w, dtype=float)
-    r = np.asarray(r, dtype=float)
-    lnC, lnw, lnr = np.log(C), np.log(w), np.log(r)
-    rho = -math.log(a * b * g)
-    denom = 1.0 - b - g
-    lnL = (rho + math.log(b) + a * lnC + g * (math.log(g) - math.log(b) - lnr) + (g - 1.0) * lnw) / denom
-    lnK = (rho + math.log(g) + a * lnC + b * (math.log(b) - math.log(g) - lnw) + (b - 1.0) * lnr) / denom
-    return lnL, lnK
+def _cd_lines(prod: CobbDouglas, w, r) -> list:
+    """(intercept, slope) of ln marginal in ln C per KKT regime, interior first.
 
-
-def _cd_log_excess(prod: CobbDouglas, C, w, r):
-    """Interior logs and their excesses (e_L, e_K) over the box caps.
-
-    The box binds exactly where either excess is positive; both excesses grow
-    in ln C with slope alpha / (1 - beta - gamma).
+    A free input enters through its stationarity condition, a capped one
+    through its cap; the intercepts broadcast against ``w`` and ``r``.
     """
-    lnL, lnK = _cd_interior_logs(prod, C, w, r)
-    return lnL, lnK, lnL - math.log(prod.kappa_L), lnK - math.log(prod.kappa_K)
-
-
-def _cd_optimal_logs(prod: CobbDouglas, C, w, r):
-    """(ln L*, ln K*, binding) of the optimum on the box at capacity C > 0.
-
-    The edge response of K at fixed L is K^ (L / L^)^(beta / (1 - gamma)), so
-    with L at its cap ln K = ln K^ - beta / (1 - gamma) e_L, clipped at
-    ln kappa_K; symmetrically for L.  Shifting each input by the positive
-    part of the other's excess and clipping at its cap covers all four
-    regimes: a capped input's shifted level is never below its cap, and an
-    uncapped input's shifted level is its edge response, or its interior
-    level when the other input is slack.  Interior entries keep ln L^, ln K^
-    bit for bit.
-    """
-    b, g = prod.beta, prod.gamma
-    lnL, lnK, eL, eK = _cd_log_excess(prod, C, w, r)
-    binding = (eL > 0) | (eK > 0)
-    if binding.any():
-        lnL = np.minimum(lnL - g / (1.0 - b) * np.maximum(eK, 0.0), math.log(prod.kappa_L))
-        lnK = np.minimum(lnK - b / (1.0 - g) * np.maximum(eL, 0.0), math.log(prod.kappa_K))
-    return lnL, lnK, binding
-
-
-def _cd_closed_form_log_marginal(prod: CobbDouglas, w, r):
-    """(intercept, slope) of ln marginal = intercept + slope * ln C, interior case."""
     a, b, g = prod.alpha, prod.beta, prod.gamma
-    denom = 1.0 - b - g
     lnw = np.log(np.asarray(w, dtype=float))
     lnr = np.log(np.asarray(r, dtype=float))
-    intercept = (-math.log(b * g)
-                 + b * (math.log(b) - math.log(a) - lnw)
-                 + g * (math.log(g) - math.log(a) - lnr)) / denom
-    slope = (a + b + g - 1.0) / denom
-    return intercept, slope
+    # (term in the intercept, exponent left free) for each input, free first
+    labour = ((b * (math.log(b) - math.log(a) - lnw), b), (b * math.log(prod.kappa_L), 0.0))
+    capital = ((g * (math.log(g) - math.log(a) - lnr), g), (g * math.log(prod.kappa_K), 0.0))
+    lines = []
+    for (term_L, free_b), (term_K, free_g) in itertools.product(labour, capital):
+        denom = 1.0 - free_b - free_g
+        lines.append(((-math.log(b * g) + term_L + term_K) / denom,
+                      (a + free_b + free_g - 1.0) / denom))
+    return lines
 
 
-def _rc_quadrature(prod: SyntheticMarginal, C: float) -> float:
-    if C == 0.0:
-        return 0.0
-    u = np.linspace(1e-12 * max(C, 1.0), C, 2001)
-    vals = np.asarray(prod.rc(u), dtype=float)
-    return float(np.sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(u)))
+def _first_break(lines: list):
+    """ln C where the interior line, whose slope is the largest, first meets
+    a capped one."""
+    c0, s0 = lines[0]
+    return np.min([(c - c0) / (s0 - s) for c, s in lines[1:]], axis=0)
+
+
+def _cd_log_marginal(prod: CobbDouglas, lnC, w, r):
+    """ln of the marginal: the interior line, lowered to the minimum of all
+    four only when some entry lies past the first break."""
+    lines = _cd_lines(prod, w, r)
+    c0, s0 = lines[0]
+    out = c0 + s0 * lnC
+    if np.any(lnC > _first_break(lines)):
+        for c, s in lines[1:]:
+            out = np.minimum(out, c + s * lnC)
+    return out
+
+
+def _cd_revenue(prod: CobbDouglas, C, w, r):
+    """Optimal revenue R* = C m* / alpha; a zero capacity is evaluated at
+    1e-300, and callers mask it."""
+    lnC = np.log(np.maximum(C, 1e-300))
+    return np.exp(_cd_log_marginal(prod, lnC, w, r) + lnC) / prod.alpha
 
 
 def _nonnegative(C) -> np.ndarray:
@@ -131,19 +111,11 @@ def reduced_value_array(prod: ProductionSpec, C: np.ndarray, w, r) -> np.ndarray
     """
     C = _nonnegative(C)
     if isinstance(prod, SyntheticMarginal):
-        if prod.antiderivative is not None:
-            return np.asarray(prod.antiderivative(C), dtype=float)
-        return np.array([_rc_quadrature(prod, float(c)) for c in C.ravel()]).reshape(C.shape)
-    a, b, g = prod.alpha, prod.beta, prod.gamma
-    Cp = np.maximum(C, 1e-300)
-    lnL, lnK, binding = _cd_optimal_logs(prod, Cp, w, r)
-    rho = -math.log(a * b * g)
-    lnR = rho + a * np.log(Cp) + b * lnL + g * lnK
-    raw = np.exp(lnR)
-    # interior: w L = beta R and r K = gamma R, so the value is (1-b-g) R
-    out = (1.0 - b - g) * raw
-    if binding.any():
-        out = np.where(binding, raw - w * np.exp(lnL) - r * np.exp(lnK), out)
+        return np.asarray(prod.value(C), dtype=float)
+    R = _cd_revenue(prod, C, w, r)
+    # w L* = min(beta R*, w kappa_L), and likewise for capital
+    out = (R - np.minimum(prod.beta * R, w * prod.kappa_L)
+           - np.minimum(prod.gamma * R, r * prod.kappa_K))
     return np.where(C > 0, out, 0.0)
 
 
@@ -151,21 +123,12 @@ def reduced_marginal_array(prod: ProductionSpec, C: np.ndarray, w, r) -> np.ndar
     """Vectorized marginal; ``w`` and ``r`` broadcast against ``C``.
 
     At C = 0 the Inada condition makes the value unbounded; a large sentinel
-    is returned there for use in bracketing comparisons only.  Where the box
-    binds the envelope theorem gives R_C at the optimal inputs.
+    is returned there for use in bracketing comparisons only.
     """
     C = _nonnegative(C)
     if isinstance(prod, SyntheticMarginal):
-        return np.where(C > 0, prod.rc(np.maximum(C, 1e-300)), INADA_SENTINEL)
-    a, b, g = prod.alpha, prod.beta, prod.gamma
-    intercept, slope = _cd_closed_form_log_marginal(prod, w, r)
-    Cp = np.maximum(C, 1e-300)
-    lnC = np.log(Cp)
-    out = np.exp(intercept + slope * lnC)
-    lnL, lnK, binding = _cd_optimal_logs(prod, Cp, w, r)
-    if binding.any():
-        envelope = np.exp(-math.log(b * g) + (a - 1.0) * lnC + b * lnL + g * lnK)
-        out = np.where(binding, envelope, out)
+        return np.where(C > 0, prod.marginal(np.maximum(C, 1e-300)), INADA_SENTINEL)
+    out = np.exp(_cd_log_marginal(prod, np.log(np.maximum(C, 1e-300)), w, r))
     return np.where(C > 0, np.minimum(out, INADA_SENTINEL), INADA_SENTINEL)
 
 
@@ -175,11 +138,10 @@ def optimal_inputs(prod: ProductionSpec, C: float, w: float, r: float) -> InputC
         raise UnsupportedVariantError("synthetic-marginal production has no input choice")
     if _nonnegative(C) == 0.0:
         return InputChoice(0.0, 0.0)
-    lnL, lnK, _ = _cd_optimal_logs(prod, C, w, r)
-    # a capped input is reported as its cap, not as exp(ln cap)
-    L = prod.kappa_L if lnL == math.log(prod.kappa_L) else float(np.exp(lnL))
-    K = prod.kappa_K if lnK == math.log(prod.kappa_K) else float(np.exp(lnK))
-    return InputChoice(float(L), float(K))
+    R = float(_cd_revenue(prod, C, w, r))
+    # min returns a capped input as its cap exactly
+    return InputChoice(float(min(prod.beta * R / w, prod.kappa_L)),
+                       float(min(prod.gamma * R / r, prod.kappa_K)))
 
 
 def reduced_value(prod: ProductionSpec, C, w, r):
@@ -190,30 +152,26 @@ def reduced_value(prod: ProductionSpec, C, w, r):
 def reduced_marginal(prod: ProductionSpec, C, w, r):
     """Partial derivative of the reduced value in capacity.
 
-    At an interior optimum this equals the raw marginal product evaluated at
-    the optimal inputs, which for Cobb-Douglas collapses to a closed form.
+    By the envelope theorem this is the raw marginal product at the optimal
+    inputs, alpha R*/C for Cobb-Douglas.
     """
     return _view(C, reduced_marginal_array(prod, C, w, r))
 
 
 def power_marginal_form(prod: ProductionSpec, w, r):
-    """Power-law representation of the capacity marginal, when one exists.
+    """Power-law representation of the capacity marginal near zero capacity.
 
     Returns (scale, exponent, capacity_cap) with marginal = scale * C^exponent
-    valid for C below capacity_cap (the level where the input box starts to
-    bind), or None when the marginal is not a pure power in capacity.
-    ``scale`` and ``capacity_cap`` broadcast against ``w`` and ``r``.
+    for C up to capacity_cap: the first break of the Cobb-Douglas regimes,
+    where the input box starts to bind, and infinity for a synthetic
+    marginal.  ``scale`` and ``capacity_cap`` broadcast against ``w`` and
+    ``r``.
     """
     if isinstance(prod, SyntheticMarginal):
-        if prod.power_exponent is None:
-            return None
         shape = np.broadcast(np.asarray(w, float), np.asarray(r, float)).shape
         scale = np.broadcast_to(float(prod.power_scale), shape)
         cap = np.broadcast_to(np.inf, shape)
         return scale, -float(prod.power_exponent), cap
-    intercept, slope = _cd_closed_form_log_marginal(prod, w, r)
-    # the excesses at C = 1 are affine offsets in ln C; the box binds once
-    # the larger of them reaches zero
-    _, _, eL, eK = _cd_log_excess(prod, 1.0, w, r)
-    s = prod.alpha / (1.0 - prod.beta - prod.gamma)
-    return np.exp(intercept), slope, np.exp(-np.maximum(eL, eK) / s)
+    lines = _cd_lines(prod, w, r)
+    intercept, slope = lines[0]
+    return np.exp(intercept), slope, np.exp(_first_break(lines))

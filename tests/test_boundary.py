@@ -169,8 +169,7 @@ class TestSolveBoundary:
         grid = cb.TimeGrid.uniform(1.0, 6)
         coeffs = cb.CoefficientSet.build(grid, mu_C=0.0, sigma=0.0, f_C=1.0,
                                          mu_F=1.0, w=1.0, r=1.0)
-        flat = SyntheticMarginal(rc=lambda C: np.full_like(np.asarray(C, float), 1e13),
-                                 antiderivative=lambda C: 1e13 * np.asarray(C, float))
+        flat = SyntheticMarginal(power_scale=1e13, power_exponent=0.0)
         with pytest.raises(BracketError):
             cb.deterministic_boundary(coeffs, flat, cb.ZeroScrap(),
                                       allow_zero_scrap=True, run_validation=False)

@@ -8,6 +8,7 @@ from capexbound.model import (
     CobbDouglas,
     CoefficientSet,
     SaturatingExponential,
+    SyntheticMarginal,
     TimeGrid,
     ZeroScrap,
     cumulative_integral,
@@ -130,6 +131,25 @@ class TestValidate:
     def test_cobb_douglas_exponent_sum_rejected(self):
         with pytest.raises(ValueError):
             CobbDouglas(0.3, 0.4, 0.4)
+
+    @pytest.mark.parametrize("build", [
+        lambda: SyntheticMarginal(power_scale=-1.0, power_exponent=1.0),
+        lambda: SyntheticMarginal(power_scale=1.0, power_exponent=-0.5),
+        lambda: SyntheticMarginal(power_scale=np.nan, power_exponent=1.0),
+        lambda: SyntheticMarginal(power_scale=1.0, power_exponent=np.nan),
+        lambda: CobbDouglas(np.nan, 0.25, 0.25),
+        lambda: CobbDouglas(0.25, 0.25, 0.25, kappa_L=np.nan),
+        lambda: SaturatingExponential(np.nan, 1.0),
+    ], ids=["negative-scale", "negative-exponent", "nan-scale", "nan-exponent", "nan-alpha",
+            "nan-kappa", "nan-scrap"])
+    def test_bad_parameters_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_synthetic_marginal_accepts_zero_exponent(self):
+        flat = SyntheticMarginal(power_scale=2.0, power_exponent=0.0)
+        np.testing.assert_array_equal(flat.marginal([0.5, 1.0, 4.0]), 2.0)
+        np.testing.assert_array_equal(flat.value([0.5, 1.0, 4.0]), [1.0, 2.0, 8.0])
 
     def test_efficiency_holds_with_decaying_conversion(self):
         grid = TimeGrid.uniform(1.0, 20)

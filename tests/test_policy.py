@@ -20,8 +20,7 @@ def unit_batch(grid):
                         seed=0, antithetic=False)
 
 
-ZERO_PROD = SyntheticMarginal(rc=lambda C: np.zeros_like(np.asarray(C, float)),
-                              antiderivative=lambda C: np.zeros_like(np.asarray(C, float)))
+ZERO_PROD = SyntheticMarginal(power_scale=0.0, power_exponent=0.0)
 
 
 def simple_coeffs(grid, **over):
@@ -171,8 +170,7 @@ class TestProfit:
         # rc constant in C with no decay: the frozen integrand is exact
         grid = cb.TimeGrid.uniform(1.0, 7)
         coeffs = simple_coeffs(grid, sigma=0.0, mu_C=0.0, mu_F=0.4)
-        lin = SyntheticMarginal(rc=lambda C: np.full_like(np.asarray(C, float), 2.0),
-                                antiderivative=lambda C: 2.0 * np.asarray(C, float))
+        lin = SyntheticMarginal(power_scale=2.0, power_exponent=0.0)
         batch = cb.simulate(coeffs, grid, 0, 2, cb.MEASURE_P, seed=0)
         est = cb.profit(coeffs, lin, cb.ZeroScrap(), batch, cb.zero_plan(batch, 1.5))
         target = 2.0 * 1.5 * (1 - np.exp(-0.4)) / 0.4

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import capexbound as cb
+from capexbound import boundary
 from capexbound.boundary import McConfig, _BatchResidual, _NodeResidual
 from capexbound.paths import MEASURE_Q, sample_decay
 
@@ -109,17 +110,17 @@ def test_deep_stacks_ties_and_box_fallback():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_solve_matches_dense_power_marginal(seed):
-    # the same marginal without its power form runs every node densely
+def test_solve_matches_dense_power_marginal(seed, monkeypatch):
+    # the same marginal with its power form hidden runs every node densely
     grid = cb.TimeGrid.uniform(1.0, 20)
     coeffs = cb.CoefficientSet.build(grid, mu_C=0.1, sigma=0.2, f_C=1.0, mu_F=0.05,
                                      w=1.0, r=1.0)
     scrap = cb.SaturatingExponential(0.5, 1.0)
     power = cb.power_marginal(1.0, 0.5)
-    plain = cb.SyntheticMarginal(power.rc, power.antiderivative)
     mc = McConfig(n_paths=4000, seed=seed)
     fast = cb.solve_boundary(coeffs, power, scrap, mc=mc)
-    slow = cb.solve_boundary(coeffs, plain, scrap, mc=mc)
+    monkeypatch.setattr(boundary, "power_marginal_form", lambda prod, w, r: (None, 0.0, None))
+    slow = cb.solve_boundary(coeffs, power, scrap, mc=mc)
     assert fast.meta["block_nodes"] == 20 and fast.meta["dense_nodes"] == 0
     assert slow.meta["block_nodes"] == 0 and slow.meta["dense_nodes"] == 20
     np.testing.assert_array_equal(fast.iters, slow.iters)

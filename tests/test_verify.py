@@ -18,8 +18,7 @@ from capexbound.verify import (
     trinomial_steps,
 )
 
-ZERO_PROD = SyntheticMarginal(rc=lambda C: np.zeros_like(np.asarray(C, float)),
-                              antiderivative=lambda C: np.zeros_like(np.asarray(C, float)))
+ZERO_PROD = SyntheticMarginal(power_scale=0.0, power_exponent=0.0)
 
 
 def coeffs_for(grid, **over):
