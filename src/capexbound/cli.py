@@ -10,6 +10,7 @@ Set CAPEX_LOG to DEBUG/INFO/WARNING for progress on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import os
@@ -54,6 +55,15 @@ def _setup_logging():
     level = os.environ.get("CAPEX_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
+
+
+@contextlib.contextmanager
+def _stage(timings: dict, command: str, name: str):
+    """Record the wall time of one stage as ``timings[name + "_s"]`` and log it."""
+    t0 = time.perf_counter()
+    yield
+    timings[f"{name}_s"] = elapsed = time.perf_counter() - t0
+    log.info("%s: %s took %.3f s", command, name, elapsed)
 
 
 def _mc(cfg: RunConfig, args) -> McConfig:
@@ -185,33 +195,35 @@ def cmd_verify(args) -> int:
     mc = _mc(cfg, args)
     artifacts.ensure_dir(args.out)
     report = validate(cfg.coeffs, cfg.production, cfg.scrap)
+    timings = {}
     t0 = time.perf_counter()
-    batch = simulate(cfg.coeffs, cfg.grid, 0, mc.n_paths, MEASURE_P, mc.seed + 1,
-                     mc.antithetic)
-    y0 = float(curve.values[0])
-    y_list = args.y if args.y else [0.5 * y0, 2.0 * y0]
-    foc = check_foc(curve, y_list, cfg.coeffs, cfg.production, cfg.scrap, batch)
-    lattice = _default_lattice(cfg, curve)
-    sdp = dp_stopping_value(cfg.coeffs, cfg.production, cfg.scrap, lattice)
-    cross = cross_validate(curve, sdp)
-    inv_f = 1.0 / cfg.coeffs.f_C[:-1]
-    v_bounded = bool(np.all(sdp.v[:-1] <= inv_f[:, None] * (1 + 1e-9)))
-    v_monotone = bool(np.all(np.diff(sdp.v, axis=1) <= 1e-9))
-    elapsed = time.perf_counter() - t0
+    with _stage(timings, "verify", "foc"):
+        batch = simulate(cfg.coeffs, cfg.grid, 0, mc.n_paths, MEASURE_P, mc.seed + 1,
+                         mc.antithetic)
+        y0 = float(curve.values[0])
+        y_list = args.y if args.y else [0.5 * y0, 2.0 * y0]
+        foc = check_foc(curve, y_list, cfg.coeffs, cfg.production, cfg.scrap, batch)
+    with _stage(timings, "verify", "stopping_dp"):
+        lattice = _default_lattice(cfg, curve)
+        sdp = dp_stopping_value(cfg.coeffs, cfg.production, cfg.scrap, lattice)
+    with _stage(timings, "verify", "cross"):
+        cross = cross_validate(curve, sdp)
+        inv_f = 1.0 / cfg.coeffs.f_C[:-1]
+        v_bounded = bool(np.all(sdp.v[:-1] <= inv_f[:, None] * (1 + 1e-9)))
+        v_monotone = bool(np.all(np.diff(sdp.v, axis=1) <= 1e-9))
+    timings["verify_s"] = time.perf_counter() - t0
     hard_pass = foc.passed and cross.sup_rel_gap <= cfg.cross_gap and v_bounded and v_monotone
     payload = {
         "command": "verify",
         "config_hash": cfg.config_hash,
         "model_hash": cfg.model_hash,
         "seed": mc.seed,
-        "timings": {"verify_s": elapsed},
+        "timings": timings,
         "tolerances": {"foc_se_units": foc.tol_se, "cross_gap": cfg.cross_gap},
         "checks": {
             "foc": {"passed": foc.passed, "worst_violation_se": foc.worst_violation_se,
-                    "entries": [{"y": e.y, "rule": e.rule, "estimate": e.estimate, "se": e.se}
-                                for e in foc.entries],
-                    "slackness": [{"y": s.y, "value": s.value, "se": s.se}
-                                  for s in foc.slackness]},
+                    "entries": [dataclasses.asdict(e) for e in foc.entries],
+                    "slackness": [dataclasses.asdict(s) for s in foc.slackness]},
             "cross_validation": {"passed": cross.sup_rel_gap <= cfg.cross_gap,
                                  "sup_rel_gap": cross.sup_rel_gap},
             "stopping_value_bounded": v_bounded,
@@ -237,24 +249,24 @@ def cmd_oracle(args) -> int:
         lattice = cfg.lattice
     else:
         raise ConfigError("oracle needs a lattice section or a boundary file")
+    timings = {}
     t0 = time.perf_counter()
-    sdp = dp_stopping_value(cfg.coeffs, cfg.production, cfg.scrap, lattice)
-    vdp = dp_value(cfg.coeffs, cfg.production, cfg.scrap, lattice)
+    with _stage(timings, "oracle", "stopping_dp"):
+        sdp = dp_stopping_value(cfg.coeffs, cfg.production, cfg.scrap, lattice)
+    with _stage(timings, "oracle", "value_dp"):
+        vdp = dp_value(cfg.coeffs, cfg.production, cfg.scrap, lattice)
     gap, _ = shadow_value_gap(vdp, sdp)
-    elapsed = time.perf_counter() - t0
+    timings["oracle_s"] = time.perf_counter() - t0
     out_csv = os.path.join(args.out, "dp_boundary.csv")
-    lines = ["t,yhat_stopping,yhat_value"]
-    t = cfg.grid.nodes[:-1]
-    for i in range(t.size):
-        lines.append(",".join([artifacts.fmt(t[i]), artifacts.fmt(sdp.boundary[i]),
-                               artifacts.fmt(vdp.boundary[i])]))
+    rows = zip(cfg.grid.nodes[:-1], sdp.boundary, vdp.boundary)
     with open(out_csv, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(["t,yhat_stopping,yhat_value"]
+                           + [",".join(map(artifacts.fmt, row)) for row in rows]) + "\n")
     artifacts.write_manifest(os.path.join(args.out, "report.json"), {
         "command": "oracle",
         "config_hash": cfg.config_hash,
         "model_hash": cfg.model_hash,
-        "timings": {"oracle_s": elapsed},
+        "timings": timings,
         "outputs": ["dp_boundary.csv"],
         "summary": {"shadow_value_max_rel_gap": gap,
                     "lattice_nodes": lattice.y_nodes.size},

@@ -101,25 +101,34 @@ def cumulative_integral(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def discount_step_masses(grid: TimeGrid, rate_values: np.ndarray, start: int) -> tuple[np.ndarray, float]:
-    """Per-step integrals of exp(-int_{t_start}^u rate) for steps start..N-1.
+def step_discounts(grid: TimeGrid, rate_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per step i: the mass int_{t_i}^{t_i+1} exp(-int_{t_i}^u rate) du and
+    the one-step discount exp(-int_{t_i}^{t_i+1} rate).
 
-    The rate is treated as constant on each step at its trapezoid average, so
-    the masses are exact whenever the rate is constant and second-order
-    accurate otherwise.  Returns (masses, terminal_factor) with
-    terminal_factor = exp(-int_{t_start}^{T} rate).
+    The rate is treated as constant on each step at its trapezoid average m,
+    so the mass is -expm1(-m dt)/m, exact whenever the rate is constant and
+    second-order accurate otherwise.
     """
-    cum = cumulative_integral(grid, rate_values)
-    rel = cum[start:] - cum[start]
-    disc = np.exp(-rel)
-    m = 0.5 * (rate_values[start:-1] + rate_values[start + 1:])
-    dt = grid.deltas[start:]
+    m = 0.5 * (rate_values[:-1] + rate_values[1:])
+    dt = grid.deltas
     step_int = m * dt
     # -expm1(-x)/x is stable for small x; patch the exact zero-rate limit.
     with np.errstate(invalid="ignore", divide="ignore"):
-        masses = disc[:-1] * np.where(step_int > 0, -np.expm1(-step_int) / np.where(m > 0, m, 1.0), dt)
-    masses = np.where(step_int > 0, masses, disc[:-1] * dt)
-    return masses, float(disc[-1])
+        mass = np.where(step_int > 0, -np.expm1(-step_int) / np.where(m > 0, m, 1.0), dt)
+    return mass, np.exp(-step_int)
+
+
+def discount_step_masses(grid: TimeGrid, rate_values: np.ndarray, start: int) -> tuple[np.ndarray, float]:
+    """Per-step integrals of exp(-int_{t_start}^u rate) for steps start..N-1:
+    the step masses of ``step_discounts`` discounted back to t_start.
+
+    Returns (masses, terminal_factor) with
+    terminal_factor = exp(-int_{t_start}^{T} rate).
+    """
+    cum = cumulative_integral(grid, rate_values)
+    disc = np.exp(-(cum[start:] - cum[start]))
+    mass, _ = step_discounts(grid, rate_values)
+    return disc[:-1] * mass[start:], float(disc[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +201,12 @@ class CoefficientSet:
 
 
 def _central_differences(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Derivative of f along its last axis at the points t: central inside,
+    one-sided at the two ends."""
     d = np.empty_like(f)
-    d[1:-1] = (f[2:] - f[:-2]) / (t[2:] - t[:-2])
-    d[0] = (f[1] - f[0]) / (t[1] - t[0])
-    d[-1] = (f[-1] - f[-2]) / (t[-1] - t[-2])
+    d[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (t[2:] - t[:-2])
+    d[..., 0] = (f[..., 1] - f[..., 0]) / (t[1] - t[0])
+    d[..., -1] = (f[..., -1] - f[..., -2]) / (t[-1] - t[-2])
     return d
 
 
@@ -325,10 +336,7 @@ class ValidationReport:
     checks: tuple
 
     def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return {c.name: c for c in self.checks}[name]
 
     @property
     def hard_ok(self) -> bool:
@@ -357,20 +365,16 @@ def _first_bad(mask: np.ndarray) -> Optional[int]:
     return int(idx[0]) if idx.size else None
 
 
-def validate(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
-             grid: Optional[TimeGrid] = None) -> ValidationReport:
+def validate(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec) -> ValidationReport:
     """Check the standing assumptions node by node.
 
     Hard checks gate solvability; the efficiency check only gates the
     monotonicity claims on the boundary and is reported separately.
-    Raises ValueError on non-finite inputs or a degenerate grid, everything
-    else lands in the report.  Side-effect free and idempotent.
+    Raises ValueError on non-finite inputs, everything else lands in the
+    report.  Side-effect free and idempotent.
     """
     from . import production as production_mod
 
-    grid = grid or coeffs.grid
-    if grid.nodes.size < 2:
-        raise ValueError("grid needs at least 2 nodes")
     for name in ("mu_C", "sigma", "f_C", "mu_F", "w", "r"):
         if not np.all(np.isfinite(getattr(coeffs, name))):
             raise ValueError(f"non-finite values in coefficient '{name}'")
@@ -403,7 +407,7 @@ def validate(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
     checks.append(CheckResult("discount-floor", bool(ok.all()),
                               f"mu_C + mu_F >= {coeffs.eps_o:g}", _first_bad(ok)))
 
-    prod_ok, prod_detail = _check_production(prod, coeffs, production_mod)
+    prod_ok, prod_detail = _check_production(prod)
     checks.append(CheckResult("production", prod_ok, prod_detail))
 
     scrap_ok, scrap_detail = _check_scrap(scrap, coeffs)
@@ -420,24 +424,14 @@ def validate(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
     return ValidationReport(tuple(checks))
 
 
-def _check_production(prod, coeffs, production_mod) -> tuple[bool, str]:
+def _check_production(prod) -> tuple[bool, str]:
     if isinstance(prod, CobbDouglas):
         return True, "Cobb-Douglas exponents valid (checked at construction); Inada holds"
-    w0, r0 = float(coeffs.w[0]), float(coeffs.r[0])
-    probe = np.geomspace(1e-6, 1e6, 25)
-    try:
-        vals = production_mod.reduced_marginal_array(prod, probe, w0, r0)
-    except Exception as exc:  # pragma: no cover - defensive
-        return False, f"marginal evaluation failed: {exc}"
-    if not np.all(np.isfinite(vals[1:])):
-        return False, "non-finite marginal values on probe grid"
-    if np.any(np.diff(vals) > 1e-12 * np.maximum(np.abs(vals[:-1]), 1.0)):
-        return False, "marginal not non-increasing on probe grid"
-    if vals[0] < 1e3 * max(vals[-1], 1e-300):
-        return False, "marginal does not blow up toward zero capacity (Inada)"
-    if vals[-1] > 1e-3 * vals[0]:
-        return False, "marginal does not vanish at large capacity"
-    return True, "marginal positive, decreasing on probe grid"
+    # scale * C^(-exponent) is positive, decreasing, unbounded toward zero
+    # capacity and vanishing at infinity exactly when both numbers are positive
+    if 0 < prod.power_scale < math.inf and 0 < prod.power_exponent < math.inf:
+        return True, "power marginal with positive scale and exponent; Inada holds"
+    return False, "marginal does not blow up toward zero capacity (Inada)"
 
 
 def _check_scrap(scrap, coeffs) -> tuple[bool, str]:
@@ -457,13 +451,10 @@ def _check_scrap(scrap, coeffs) -> tuple[bool, str]:
 
 
 def _check_efficiency(coeffs, prod, scrap, production_mod, costs_ok: bool):
-    parts = []
-    ok_sigma = coeffs.sigma_sq <= coeffs.mu_C + 1e-15
-    parts.append(("sigma^2 <= mu_C", ok_sigma))
+    parts = [("sigma^2 <= mu_C", coeffs.sigma_sq <= coeffs.mu_C + 1e-15)]
     with np.errstate(divide="ignore", invalid="ignore"):
         decay = -coeffs.f_C_prime / coeffs.f_C
-    ok_decay = coeffs.bar_mu <= decay + 1e-12
-    parts.append(("bar_mu <= -f_C'/f_C", ok_decay))
+    parts.append(("bar_mu <= -f_C'/f_C", coeffs.bar_mu <= decay + 1e-12))
 
     probe = np.geomspace(1e-2, 1e2, 17)
     mids = 0.5 * (probe[:-2] + probe[2:])
@@ -480,12 +471,8 @@ def _check_efficiency(coeffs, prod, scrap, production_mod, costs_ok: bool):
         conv_m = np.all(mid <= 0.5 * (marg[:-2] + marg[2:]) + 1e-9 * np.abs(marg[:-2]))
     parts.append(("convex marginals", np.array([conv_m and conv_g])))
 
-    all_ok = all(bool(np.all(m)) for _, m in parts)
-    failed = [name for name, m in parts if not bool(np.all(m))]
-    node = None
-    for name, m in parts[:2]:
-        if not bool(np.all(m)):
-            node = _first_bad(np.asarray(m))
-            break
-    detail = "all conditions hold" if all_ok else "failing: " + ", ".join(failed)
-    return all_ok, detail, node
+    failed = [name for name, m in parts if not np.all(m)]
+    # the first failing node-wise condition locates the violation
+    nodes = [_first_bad(m) for _, m in parts[:2] if not np.all(m)]
+    return (not failed, "failing: " + ", ".join(failed) if failed else "all conditions hold",
+            nodes[0] if nodes else None)

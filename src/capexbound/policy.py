@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import BoundaryCurve
-from .model import CoefficientSet, ProductionSpec, ScrapSpec, _freeze, discount_step_masses
+from .model import (CoefficientSet, ProductionSpec, ScrapSpec, _freeze, cumulative_integral,
+                    discount_step_masses)
 from .paths import MEASURE_P, PathBatch, mean_and_se, running_sup_matrix
 from .production import reduced_value_array
 
@@ -99,7 +100,6 @@ def profit(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
     vals = reduced_value_array(prod, cap_step, coeffs.w[s:n], coeffs.r[s:n])
     running = vals @ masses
     scrap_term = terminal * np.asarray(scrap.value(cap[:, -1]), dtype=float)
-    from .model import cumulative_integral
     cum_f = cumulative_integral(grid, coeffs.mu_F)
     disc_nodes = np.exp(-(cum_f[s:n] - cum_f[s]))
     spend = np.diff(plans.nu, axis=1) @ disc_nodes

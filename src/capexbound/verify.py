@@ -27,9 +27,11 @@ from .model import (
     ProductionSpec,
     ScrapSpec,
     TimeGrid,
+    _central_differences,
     _freeze,
     cumulative_integral,
     discount_step_masses,
+    step_discounts,
 )
 from .paths import MEASURE_P, MEASURE_Q, PathBatch, log_increment_moments, mean_and_se
 from .policy import build_controls, controlled_capacity
@@ -91,6 +93,36 @@ def _expected_next(values: np.ndarray, log_nodes: np.ndarray, shifts: np.ndarray
     return out
 
 
+def _backward(coeffs: CoefficientSet, lattice: Lattice, measure: str, rate: np.ndarray,
+              flow_fn, prod: ProductionSpec, terminal: np.ndarray, slice_rule) -> np.ndarray:
+    """One backward recursion on the lattice: slice i is ``slice_rule(i,
+    f_i a_i + b_i E[slice i+1])`` with the flow f_i = ``flow_fn`` on slice i
+    and the step mass a_i and one-step discount b_i of ``rate``."""
+    n = lattice.grid.n_steps
+    logy = lattice.log_nodes
+    # one production call for all slices; a synthetic marginal ignores w and
+    # r and returns a single row
+    flow = np.broadcast_to(flow_fn(prod, lattice.y_nodes, coeffs.w[:n, None],
+                                   coeffs.r[:n, None]), (n, logy.size))
+    a, b = step_discounts(lattice.grid, rate)
+    shifts, probs = trinomial_steps(coeffs, measure)
+    out = np.empty((n + 1, logy.size))
+    out[n] = terminal
+    for i in range(n - 1, -1, -1):
+        cont = flow[i] * a[i] + b[i] * _expected_next(out[i + 1], logy, shifts[i], probs)
+        out[i] = slice_rule(i, cont)
+    return out
+
+
+def _contact_boundary(y: np.ndarray, values: np.ndarray, cap: np.ndarray,
+                      rel_tol: float) -> np.ndarray:
+    """Per row, the largest lattice node where ``values`` reaches ``cap``
+    within ``rel_tol``, or 0 when no node does."""
+    contact = values >= cap[:, None] * (1.0 - rel_tol)
+    last = y.size - 1 - np.argmax(contact[:, ::-1], axis=1)
+    return np.where(contact.any(axis=1), y[last], 0.0)
+
+
 @dataclass(frozen=True)
 class StoppingDP:
     """Stopping value on the lattice and the boundary its contact set implies."""
@@ -110,25 +142,12 @@ def dp_stopping_value(coeffs: CoefficientSet, prod: ProductionSpec, scrap: Scrap
     each slice is the largest lattice node still in contact with the
     replacement cost.
     """
-    grid = lattice.grid
-    n = grid.n_steps
-    y = lattice.y_nodes
-    logy = lattice.log_nodes
-    shifts, probs = trinomial_steps(coeffs, MEASURE_Q)
-    v = np.empty((n + 1, y.size))
-    v[n] = np.asarray(scrap.marginal(y), dtype=float)
-    boundary = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        masses, _ = discount_step_masses(grid, coeffs.bar_mu, i)
-        a_i = masses[0]
-        b_i = float(np.exp(-(0.5 * (coeffs.bar_mu[i] + coeffs.bar_mu[i + 1]) * grid.deltas[i])))
-        cont = (reduced_marginal_array(prod, y, coeffs.w[i], coeffs.r[i]) * a_i
-                + b_i * _expected_next(v[i + 1], logy, shifts[i], probs))
-        cap = 1.0 / float(coeffs.f_C[i])
-        v[i] = np.minimum(cap, cont)
-        contact = np.flatnonzero(v[i] >= cap * (1.0 - 1e-12))
-        boundary[i] = y[contact[-1]] if contact.size else 0.0
-    return StoppingDP(lattice, v, boundary)
+    n = lattice.grid.n_steps
+    cap = 1.0 / coeffs.f_C[:n]
+    v = _backward(coeffs, lattice, MEASURE_Q, coeffs.bar_mu, reduced_marginal_array, prod,
+                  np.asarray(scrap.marginal(lattice.y_nodes), dtype=float),
+                  lambda i, cont: np.minimum(cap[i], cont))
+    return StoppingDP(lattice, v, _contact_boundary(lattice.y_nodes, v[:n], cap, 1e-12))
 
 
 @dataclass(frozen=True)
@@ -150,40 +169,24 @@ def dp_value(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
     Raises LatticeRangeError when the optimal install reaches the top node,
     which means the lattice truncates the decision.
     """
-    grid = lattice.grid
-    n = grid.n_steps
+    n = lattice.grid.n_steps
     y = lattice.y_nodes
-    logy = lattice.log_nodes
-    shifts, probs = trinomial_steps(coeffs, MEASURE_P)
-    V = np.empty((n + 1, y.size))
-    V[n] = np.asarray(scrap.value(y), dtype=float)
-    for i in range(n - 1, -1, -1):
-        masses, _ = discount_step_masses(grid, coeffs.mu_F, i)
-        a_i = masses[0]
-        b_i = float(np.exp(-(0.5 * (coeffs.mu_F[i] + coeffs.mu_F[i + 1]) * grid.deltas[i])))
-        inv_f = 1.0 / float(coeffs.f_C[i])
-        gain = (reduced_value_array(prod, y, coeffs.w[i], coeffs.r[i]) * a_i
-                + b_i * _expected_next(V[i + 1], logy, shifts[i], probs))
-        score = gain - inv_f * y
-        # install up to the best lattice node at or above the current one
-        suffix = np.maximum.accumulate(score[::-1])[::-1]
-        V[i] = suffix + inv_f * y
+    inv_f = 1.0 / coeffs.f_C[:n]
+
+    def install(i, gain):
+        score = gain - inv_f[i] * y
         # truncation: some state strictly prefers the top node to everything
-        # else it can reach, so the lattice cuts the decision off
-        suffix_ex_top = np.maximum.accumulate(score[-2::-1])[::-1]
-        tol = 1e-12 * max(1.0, abs(score[-1]))
-        if np.any(score[-1] > suffix_ex_top + tol):
+        # else it can reach, so the lattice cuts the decision off; this holds
+        # exactly when the state just below the top prefers it
+        if score[-1] > score[-2] + 1e-12 * max(1.0, abs(score[-1])):
             raise LatticeRangeError("optimal install hits the top lattice node; enlarge y_max")
-    dVdy = np.empty_like(V)
-    dVdy[:, 1:-1] = (V[:, 2:] - V[:, :-2]) / (y[2:] - y[:-2])
-    dVdy[:, 0] = (V[:, 1] - V[:, 0]) / (y[1] - y[0])
-    dVdy[:, -1] = (V[:, -1] - V[:, -2]) / (y[-1] - y[-2])
-    boundary = np.zeros(n)
-    for i in range(n):
-        cap = 1.0 / float(coeffs.f_C[i])
-        contact = np.flatnonzero(dVdy[i] >= cap * (1.0 - 1e-6))
-        boundary[i] = y[contact[-1]] if contact.size else 0.0
-    return ValueDP(lattice, V, dVdy, boundary)
+        # install up to the best lattice node at or above the current one
+        return np.maximum.accumulate(score[::-1])[::-1] + inv_f[i] * y
+
+    V = _backward(coeffs, lattice, MEASURE_P, coeffs.mu_F, reduced_value_array, prod,
+                  np.asarray(scrap.value(y), dtype=float), install)
+    dVdy = _central_differences(y, V)
+    return ValueDP(lattice, V, dVdy, _contact_boundary(y, dVdy[:n], inv_f, 1e-6))
 
 
 def shadow_value_gap(value_dp: ValueDP, stopping_dp: StoppingDP, margin: int = 5):
@@ -191,6 +194,9 @@ def shadow_value_gap(value_dp: ValueDP, stopping_dp: StoppingDP, margin: int = 5
     interior lattice nodes, maximized over nodes and time slices."""
     v = stopping_dp.v
     dv = value_dp.dVdy
+    if v.shape[1] <= 2 * margin:
+        raise LatticeRangeError(f"the shadow-value gap needs at least {2 * margin + 1} "
+                                f"lattice nodes, got {v.shape[1]}")
     sl = slice(margin, v.shape[1] - margin)
     denom = np.maximum(np.abs(v[:, sl]), 1e-12)
     rel = np.abs(dv[:, sl] - v[:, sl]) / denom
@@ -354,28 +360,22 @@ class FOCReport:
     tol_se: float = 2.0
     atol: float = 1e-9
 
+    def _violations(self) -> list:
+        """(violation, se) per check: FOC estimates one-sided, slackness two-sided."""
+        return ([(e.estimate, e.se) for e in self.entries]
+                + [(abs(s.value), s.se) for s in self.slackness])
+
     @property
     def passed(self) -> bool:
-        for e in self.entries:
-            if e.estimate > self.tol_se * e.se + self.atol:
-                return False
-        for s in self.slackness:
-            if abs(s.value) > self.tol_se * s.se + self.atol:
-                return False
-        return True
+        return not any(v > self.tol_se * se + self.atol for v, se in self._violations())
 
     @property
     def worst_violation_se(self) -> float:
         worst = -np.inf
-        for e in self.entries:
-            if e.se > 0:
-                worst = max(worst, e.estimate / e.se)
-            elif e.estimate > self.atol:
-                worst = np.inf
-        for s in self.slackness:
-            if s.se > 0:
-                worst = max(worst, abs(s.value) / s.se)
-            elif abs(s.value) > self.atol:
+        for v, se in self._violations():
+            if se > 0:
+                worst = max(worst, v / se)
+            elif v > self.atol:
                 worst = np.inf
         # no entry with a standard error and none beyond atol: nothing is
         # violated, and the report must stay finite JSON

@@ -138,6 +138,19 @@ class TestCliSolve:
         rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    @pytest.mark.parametrize("scale,exponent", [(0.3, 0.2), (1.0, 0.1)])
+    def test_flat_power_marginal_solves(self, tmp_path, scale, exponent):
+        # a marginal this flat was refused as violating Inada by a probe
+        # that demanded a 1e3 ratio over C in [1e-6, 1e6]
+        payload = json.loads(json.dumps(STOCHASTIC))
+        payload["production"] = {"variant": "power_marginal", "scale": scale,
+                                 "exponent": exponent}
+        payload["grid"]["N"] = 10
+        payload["mc"]["paths"] = 1000
+        rc = cli.main(["solve", "--config", write_cfg(tmp_path, payload),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 0
+
     def test_stochastic_solve_logs_evaluator_summary(self, tmp_path, caplog):
         cfg = write_cfg(tmp_path, STOCHASTIC)
         with caplog.at_level(logging.INFO, logger="capexbound"):
@@ -240,6 +253,23 @@ class TestCliSimulateVerify:
         assert rc == 0
         report = json.loads(open(os.path.join(out, "report.json")).read())
         assert report["summary"]["shadow_value_max_rel_gap"] < 0.2
+
+    @pytest.mark.parametrize("command,stages", [
+        ("verify", ("foc", "stopping_dp", "cross")),
+        ("oracle", ("stopping_dp", "value_dp")),
+    ])
+    def test_stage_timings_in_manifest_and_log(self, solved, tmp_path, caplog, command, stages):
+        tmp, cfg, boundary = solved
+        out = str(tmp_path / command)
+        with caplog.at_level(logging.INFO, logger="capexbound"):
+            rc = cli.main([command, "--config", cfg, "--boundary", boundary, "--out", out])
+        assert rc == 0
+        timings = json.loads(open(os.path.join(out, "report.json")).read())["timings"]
+        assert set(timings) == {f"{s}_s" for s in (*stages, command)}
+        assert all(v >= 0.0 for v in timings.values())
+        assert sum(timings[f"{s}_s"] for s in stages) <= timings[f"{command}_s"]
+        lines = [r.getMessage() for r in caplog.records if r.name == "capexbound"]
+        assert [ln.split(" took ")[0] for ln in lines] == [f"{command}: {s}" for s in stages]
 
 
 class TestReproducibility:

@@ -153,6 +153,24 @@ class TestBadConfig:
         cfg = write_cfg(tmp_path, small_lattice)
         assert cli.main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("nodes,y_max,code", [
+        (6, 1e6, 2), (10, 1e9, 2), (12, 1e9, 0),
+    ])
+    def test_lattice_too_small_for_shadow_gap_exits_2(self, tmp_path, capsys, nodes, y_max, code):
+        readme = {
+            "grid": {"T": 1.0, "N": 20},
+            "coefficients": {"mu_C": 0.1, "sigma": 0.2, "f_C": 1.0, "mu_F": 0.05,
+                             "w": 1.0, "r": 1.0},
+            "production": {"variant": "cobb_douglas", "alpha": 0.25, "beta": 0.25,
+                           "gamma": 0.25},
+            "scrap": {"variant": "saturating_exponential", "a": 0.5, "b": 1.0},
+            "lattice": {"y_min": 1e-3, "y_max": y_max, "nodes": nodes},
+        }
+        cfg = write_cfg(tmp_path, readme)
+        assert cli.main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        if code == 2:
+            assert "at least 11 lattice nodes" in capsys.readouterr().err
+
 
 # README config at N = 20 with 4000 paths: (verify exit code, worst FOC
 # violation in standard errors) per seed, solve and verify at the same seed.

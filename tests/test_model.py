@@ -151,6 +151,20 @@ class TestValidate:
         np.testing.assert_array_equal(flat.marginal([0.5, 1.0, 4.0]), 2.0)
         np.testing.assert_array_equal(flat.value([0.5, 1.0, 4.0]), [1.0, 2.0, 8.0])
 
+    @pytest.mark.parametrize("exponent", [0.1, 0.2, 1.0, 3.0])
+    def test_power_marginal_passes_production_check(self, exponent):
+        coeffs = make_coeffs(TimeGrid.uniform(1.0, 4))
+        rep = validate(coeffs, power_marginal(0.3, exponent), SaturatingExponential(0.5, 1.0))
+        assert rep.check("production").passed
+
+    @pytest.mark.parametrize("scale,exponent", [(0.0, 0.5), (0.3, 0.0), (0.0, 0.0)])
+    def test_zero_or_constant_marginal_fails_inada(self, scale, exponent):
+        coeffs = make_coeffs(TimeGrid.uniform(1.0, 4))
+        prod = SyntheticMarginal(power_scale=scale, power_exponent=exponent)
+        chk = validate(coeffs, prod, SaturatingExponential(0.5, 1.0)).check("production")
+        assert not chk.passed
+        assert "Inada" in chk.detail
+
     def test_efficiency_holds_with_decaying_conversion(self):
         grid = TimeGrid.uniform(1.0, 20)
         coeffs = make_coeffs(grid, mu_C=0.08, sigma=0.2, mu_F=0.05,
