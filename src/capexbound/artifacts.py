@@ -18,6 +18,11 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_lines(path: str, lines: list) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_boundary_csv(path: str, curve: BoundaryCurve, model_hash: str, seed: int) -> None:
     lines = [f"# model_hash={model_hash}", f"# seed={seed}",
              "t,yhat,residual,residual_se,iters"]
@@ -25,8 +30,14 @@ def write_boundary_csv(path: str, curve: BoundaryCurve, model_hash: str, seed: i
     for i in range(t.size):
         lines.append(",".join([fmt(t[i]), fmt(curve.values[i]), fmt(curve.residual[i]),
                                fmt(curve.residual_se[i]), str(int(curve.iters[i]))]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
+
+
+def write_dp_boundary_csv(path: str, grid: TimeGrid, stopping: np.ndarray,
+                          value: np.ndarray) -> None:
+    """The contact boundaries of the stopping-value and control-value DPs."""
+    rows = zip(grid.nodes[:-1], stopping, value)
+    _write_lines(path, ["t,yhat_stopping,yhat_value"] + [",".join(map(fmt, row)) for row in rows])
 
 
 class BoundaryFileError(ValueError):
@@ -81,8 +92,7 @@ def write_controls_csv(path: str, grid: TimeGrid, plans, capacity: np.ndarray,
         for k in range(t.size):
             lines.append(",".join([str(p), fmt(t[k]), fmt(plans.nubar[p, k]),
                                    fmt(plans.nu[p, k]), fmt(capacity[p, k])]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_paths_csv(path: str, grid: TimeGrid, batch, limit: int = 100) -> None:
@@ -92,8 +102,7 @@ def write_paths_csv(path: str, grid: TimeGrid, batch, limit: int = 100) -> None:
     for p in range(n_dump):
         for k in range(t.size):
             lines.append(",".join([str(p), fmt(t[k]), fmt(batch.values[p, k]), batch.measure]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_manifest(path: str, manifest: dict) -> None:

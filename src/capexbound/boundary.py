@@ -4,11 +4,10 @@ The boundary value at each node is the root, in the candidate level, of a
 discounted expectation of future marginal profits evaluated along the running
 supremum of boundary-to-decay ratios, minus the replacement cost of capital.
 Solving proceeds backward in time; at each node the root is bracketed by
-geometric expansion around the previous node's solution and then bisected.
-The bisection is replayed rather than run: given the monotone residual, most
-midpoints' signs follow from a few probes placed near the predicted root, so
-a node costs a handful of evaluations and still ends on the bracket, the
-step count and the root that plain bisection reaches.
+geometric expansion around the previous node's solution, over the whole range
+of positive floats, and then bisected -- a bisection replayed from a few probes
+near the predicted root, with the bracket, step count and root of plain
+bisection (``_Replay``).
 
 Discretization conventions, shared with the policy and verification modules:
 
@@ -23,25 +22,17 @@ Discretization conventions, shared with the policy and verification modules:
   bisection convergence; the reported residual is re-estimated on a fresh
   batch.
 
-Two evaluators compute the same residual.  The dense one evaluates the
-marginal at every future argument of every path, so setting it up at a node
-costs O(paths x remaining nodes).  When the marginal is a negative power of
-capacity, the record-block evaluator gets the same sum from the records of
-the running supremum instead: along one full-horizon decay path cp, the
-supremum seen from node i is a step function of the later node whose steps are
-the records of yhat_l / cp_l, and a power marginal turns each block between
-two records into one precomputed weight.  Moving from node i+1 to node i
-pushes one record onto a per-path monotone stack, so a node's set-up and each
-of its evaluations cost O(paths x stack depth), and a solve grows linearly in
-the number of nodes instead of quadratically.
-The dense evaluator still runs where that does not hold: for a constant
-marginal, once an argument can reach the input box, and for candidates at or
-above the level where one could.
+Two evaluators compute the same residual: a dense one for any marginal, whose
+set-up at a node costs O(paths x remaining nodes) (``_NodeResidual``), and one
+for a marginal that is a negative power of capacity, which sums blocks between
+the records of each path's running supremum, so a solve grows linearly in the
+number of nodes (``_BatchResidual``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -62,13 +53,13 @@ from .production import power_marginal_form, reduced_marginal_array
 
 
 class BracketError(AssumptionError):
-    """The residual does not change sign on the admissible bracket."""
+    """The residual does not change sign anywhere on the positive floats."""
 
 
 class ConvergenceError(RuntimeError):
     """Bisection stopped short of a root: the residual was not decreasing
-    across the bracket (a NaN residual), or ``max_iter`` steps did not reach
-    the tolerance."""
+    across the bracket (a NaN residual), or the tolerance is finer than the
+    floats near the root can resolve."""
 
 
 @dataclass(frozen=True)
@@ -82,9 +73,6 @@ class McConfig:
 class SolverConfig:
     tol_rel: float = 1e-4
     tol_rel_det: float = 1e-9
-    max_iter: int = 200
-    bracket_floor: float = 1e-12
-    bracket_ceil: float = 1e12
 
 
 @dataclass(frozen=True)
@@ -250,7 +238,6 @@ class _BatchResidual:
         self.node = node
         self.future = future
         self.dense = None
-        self.last = None, None
         self.inv_fc = 1.0 / float(self.coeffs.f_C[node])
         if self.blocks_on and future.size:
             record = future[0] / self.cp[node + 1]
@@ -337,13 +324,9 @@ class _BatchResidual:
     def __call__(self, candidate: float) -> tuple[float, float]:
         if candidate <= 0:
             raise ValueError("candidate boundary level must be positive")
-        # the solve asks again for the residual at its root when the batch
-        # doubles as the audit one (sigma = 0)
-        if candidate != self.last[0]:
-            self.evals += 1
-            mean, se = mean_and_se(self.per_path(candidate), self.antithetic)
-            self.last = candidate, (mean - self.inv_fc, se)
-        return self.last[1]
+        self.evals += 1
+        mean, se = mean_and_se(self.per_path(candidate), self.antithetic)
+        return mean - self.inv_fc, se
 
 
 def residual(node: int, candidate: float, future: np.ndarray, batch: PathBatch,
@@ -381,8 +364,12 @@ def _gate_assumptions(coeffs, prod, scrap, allow_zero_scrap, run_validation):
 # the sign tests of plain bisection's bracket on the residual r at a
 # candidate: a lower end holds unless r <= 0, an upper one unless r >= 0; a
 # midpoint becomes the lower end if r > 0, which differs from the first only
-# on NaN
-_LO, _HI = 0, 1
+# on NaN.  A walk's phase is the end it is expanding, or _MID once it bisects.
+_LO, _HI, _MID = 0, 1, 2
+
+
+class _FirstOpen(Exception):
+    """Ends a walk at its first open sign when that sign is the next probe."""
 
 
 class _Replay:
@@ -398,7 +385,11 @@ class _Replay:
     else it is predicted from ``aim``, the running root estimate, and left
     open.  ``run`` evaluates one probe per walk that leaves a sign open, so
     the walk it ends with took every sign from evaluations and its outcome
-    is the one plain bisection reaches.
+    is the one plain bisection reaches.  Every sign before a walk's first
+    open one stays settled, so the next walk resumes there, in an expansion
+    or among the midpoints; and a walk stops at its first open sign when that
+    candidate is the next probe, so a bracket that expands k times costs
+    O(k) sign tests.
 
     Probes lie on candidates of the walk: the open end of its final interval
     nearest ``aim``, or its first open candidate, which is one plain
@@ -410,20 +401,21 @@ class _Replay:
     probes near ``aim`` may run at most ``_LEAD`` evaluations ahead of the
     signs settled on plain bisection's own path, else the first open
     candidate is probed; so on a monotone residual no node costs more than
-    ``_LEAD + 2`` evaluations over plain bisection.  A non-finite residual
-    ends inference: from then on a sign comes only from an evaluation at the
-    candidate itself, in plain bisection's order, so NaN meets the same
-    comparisons and errors as there.
+    ``_LEAD + 2`` evaluations over plain bisection.  The first open
+    candidate is probed too when it is an expanded bracket end: the root has
+    then moved more than twofold from the guess, which the aim did not
+    foresee.  A non-finite residual ends inference: from then on a sign
+    comes only from an evaluation at the candidate itself, in plain
+    bisection's order, so NaN meets the same comparisons and errors as
+    there.
     """
 
     _LEAD = 4
 
-    def __init__(self, ev, guess: float, tol_rel: float, cfg: SolverConfig, node: int,
+    def __init__(self, ev, guess: float, tol_rel: float, node: int,
                  aim: float, slope: float | None):
         self.ev = ev
-        self.guess = guess
         self.tol_rel = tol_rel
-        self.cfg = cfg
         self.node = node
         self.seen = {}
         self.infer = True
@@ -439,12 +431,9 @@ class _Replay:
         # Illinois state: residuals weighting pos and nonpos, last end moved
         self.f_pos = self.f_nonpos = 0.0
         self.moved = 0
-        self.first = None
-        self.open = False
-        # signs taken in the current walk, and those before its first open one
-        self.signs = self.settled = 0
-        # bracket, step count and signs just before the first open midpoint
-        self.resume = None
+        # where the next walk starts: bracket, step count, signs taken and
+        # phase just before the last walk's first open sign
+        self.start = self.resume = 0.5 * guess, 2.0 * guess, 0, 0, _LO
 
     def value(self, x: float) -> tuple[float, float]:
         if x not in self.seen:
@@ -471,44 +460,51 @@ class _Replay:
             return not (r <= 0.0 if test == _LO else r >= 0.0)
         self.open = True
         if self.first is None:
-            self.first = x
-            self.settled = self.signs - 1
+            # ``fixed`` is the end not expanding, ``start`` the unexpanded ends
+            lo, hi = (x, self.fixed) if test == _LO else (self.fixed, x)
+            self.first_open(x, (lo, hi, 0, self.signs - 1, test), expanded=x != self.start[test])
         return x > self.aim if test == _HI else x < self.aim
 
+    def first_open(self, x: float, resume: tuple, expanded: bool = False) -> None:
+        """Note the first open sign and the walk's state before it; stop if it is the next probe."""
+        self.first, self.resume = x, resume
+        settled = resume[2] + resume[3]
+        if expanded or not (self.infer and self.follow_aim and len(self.seen) - settled < self._LEAD):
+            raise _FirstOpen
+
     def walk(self):
-        cfg, node = self.cfg, self.node
+        node, seen = self.node, self.seen
         self.first = None
-        if self.resume is not None:
-            # every sign before the last walk's first open one still holds
-            lo, hi, iters, self.signs = self.resume
-            lo_open = hi_open = False
-        else:
-            self.signs = 0
-            lo = 0.5 * self.guess
-            hi = 2.0 * self.guess
-            while not self.sign(lo, _LO):
+        lo, hi, iters, self.signs, phase = self.resume
+        lo_open = hi_open = False
+        if phase == _LO:
+            # the bracket may reach any positive float, but never 0 or inf
+            self.fixed = hi
+            while lo > 0.0 and not self.sign(lo, _LO):
                 lo *= 0.5
-                if lo < cfg.bracket_floor:
-                    raise BracketError(f"node {node}: no sign change down to {cfg.bracket_floor:g}")
+            if lo == 0.0:
+                raise BracketError(f"node {node}: no sign change down to the smallest float")
             lo_open = self.open
-            while not self.sign(hi, _HI):
+        if phase != _MID:
+            self.fixed = lo
+            while hi < np.inf and not self.sign(hi, _HI):
                 hi *= 2.0
-                if hi > cfg.bracket_ceil:
-                    raise BracketError(f"node {node}: no sign change up to {cfg.bracket_ceil:g}")
+            if hi == np.inf:
+                raise BracketError(f"node {node}: no sign change up to the largest float")
             hi_open = self.open
             # with signs from evaluations this holds unless a residual is NaN
-            if lo in self.seen and hi in self.seen and not self.seen[lo][0] > self.seen[hi][0]:
+            if lo in seen and hi in seen and not seen[lo][0] > seen[hi][0]:
                 raise ConvergenceError(f"node {node}: residual not decreasing across the bracket")
-            iters = 0
         # the midpoint loop runs once per walk and probe, so ``sign`` is
-        # inlined there
-        tol_rel, pos, nonpos, aim, seen = self.tol_rel, self.pos, self.nonpos, self.aim, self.seen
-        while hi - lo > tol_rel * 0.5 * (hi + lo):
+        # inlined there; halving before adding keeps a midpoint near the
+        # largest float finite, with the bits of 0.5 * (lo + hi) elsewhere
+        tol_rel, pos, nonpos, aim = self.tol_rel, self.pos, self.nonpos, self.aim
+        mid = 0.5 * lo + 0.5 * hi
+        while hi - lo > tol_rel * mid:
             iters += 1
-            if iters > cfg.max_iter:
-                raise ConvergenceError(f"node {node}: tolerance {tol_rel:g} not reached "
-                                       f"after {cfg.max_iter} bisection steps")
-            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                raise ConvergenceError(f"node {node}: tolerance {tol_rel:g} is below the "
+                                       f"float resolution at {mid:g}")
             if mid <= pos:
                 lo, lo_open = mid, False
             elif mid >= nonpos:
@@ -517,13 +513,12 @@ class _Replay:
                 known = seen.get(mid)
                 is_open = known is None
                 if is_open and self.first is None:
-                    self.first = mid
-                    self.settled = self.signs + iters - 1
-                    self.resume = lo, hi, iters - 1, self.signs
+                    self.first_open(mid, (lo, hi, iters - 1, self.signs, _MID))
                 if (mid < aim) if is_open else (known[0] > 0.0):
                     lo, lo_open = mid, is_open
                 else:
                     hi, hi_open = mid, is_open
+            mid = 0.5 * lo + 0.5 * hi
         return lo, hi, iters, lo_open, hi_open
 
     def run(self) -> tuple[float, float, int]:
@@ -531,19 +526,16 @@ class _Replay:
         while True:
             try:
                 lo, hi, iters, lo_open, hi_open = self.walk()
-            except (BracketError, ConvergenceError):
+            except (BracketError, ConvergenceError, _FirstOpen):
                 if self.first is None:
                     raise
                 self.probe(self.first)
                 continue
             if self.first is None:
                 return lo, hi, iters
+            # the walk went on past its first open sign, so probes may follow the aim
             ends = [x for x, is_open in ((lo, lo_open), (hi, hi_open)) if is_open]
-            if (self.infer and self.follow_aim and ends
-                    and len(self.seen) - self.settled < self._LEAD):
-                self.probe(min(ends, key=lambda x: abs(x - self.aim)))
-            else:
-                self.probe(self.first)
+            self.probe(min(ends, key=lambda x: abs(x - self.aim)) if ends else self.first)
 
     def probe(self, x: float) -> None:
         r = self.value(x)[0]
@@ -551,7 +543,7 @@ class _Replay:
             return
         if not math.isfinite(r):
             self.infer = False
-            self.resume = None
+            self.resume = self.start
             self.pos, self.nonpos, self.neg, self.nonneg = -np.inf, np.inf, np.inf, -np.inf
             return
         bracketed = self.pos > -np.inf and self.nonpos < np.inf
@@ -590,9 +582,16 @@ class _Replay:
             self.follow_aim = False
 
 
-def _bisect_node(ev, guess: float, tol_rel: float, cfg: SolverConfig, node: int,
-                 aim: float | None = None,
-                 slope: float | None = None) -> tuple[float, int, float, float]:
+# one node's solve on its frozen batch: the root, plain bisection's steps, the
+# residual and its standard error at the root, the root's uncertainty in
+# residual and in boundary units, and the residual's drop per boundary unit
+# across the final bracket
+_NodeRecord = namedtuple("_NodeRecord",
+                         "root iters residual residual_se solver_se value_se slope")
+
+
+def _bisect_node(ev, guess: float, tol_rel: float, node: int, aim: float | None = None,
+                 slope: float | None = None) -> _NodeRecord:
     """Root of one node's residual, bit for bit the one plain bisection finds.
 
     Plain bisection brackets the root by halving ``guess/2`` and doubling
@@ -600,22 +599,22 @@ def _bisect_node(ev, guess: float, tol_rel: float, cfg: SolverConfig, node: int,
     bracket and step count from a few evaluations, given a residual that is
     non-increasing in the candidate.  ``aim`` predicts the root (``guess`` by
     default) and ``slope`` the residual's slope, to place those evaluations.
-    Returns the root, the bisection steps, and the root's uncertainty in
-    residual and in boundary units.
+    Returns the node's record: everything the solve keeps of the node, and
+    the slope that places the next node's evaluations.
     """
-    replay = _Replay(ev, guess, tol_rel, cfg, node, guess if aim is None else aim, slope)
+    replay = _Replay(ev, guess, tol_rel, node, guess if aim is None else aim, slope)
     lo, hi, iters = replay.run()
     res_lo = replay.value(lo)[0]
     res_hi = replay.value(hi)[0]
-    root = 0.5 * (lo + hi)
-    se_at_root = replay.value(root)[1]
+    root = 0.5 * lo + 0.5 * hi
+    res_root, se_root = replay.value(root)
     # residual uncertainty carried by the root: Monte-Carlo noise of the frozen
     # batch plus the final bracket width times the local slope; the same two
     # pieces expressed in boundary units give the root's own standard error
     slope = (res_lo - res_hi) / max(hi - lo, 1e-300)
-    root_unc = np.hypot(se_at_root, 0.5 * slope * (hi - lo))
-    value_unc = np.hypot(0.5 * (hi - lo), se_at_root / max(slope, 1e-300))
-    return root, iters, float(root_unc), float(value_unc)
+    root_unc = np.hypot(se_root, 0.5 * slope * (hi - lo))
+    value_unc = np.hypot(0.5 * (hi - lo), se_root / max(slope, 1e-300))
+    return _NodeRecord(root, iters, res_root, se_root, float(root_unc), float(value_unc), slope)
 
 
 def solve_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
@@ -668,31 +667,21 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
         coeffs, 0, mc.n_paths, MEASURE_Q, mc.seed, "audit", antithetic), antithetic)
 
     yhat = np.empty(n)
-    res = np.empty(n)
-    res_se = np.empty(n)
-    solver_se = np.empty(n)
-    value_se = np.empty(n)
-    iters = np.empty(n, dtype=int)
-
+    nodes = [None] * n
     guess = aim = 1.0
     slope = None
     for i in range(n - 1, -1, -1):
         ev.at(i, yhat[i + 1:])
-        root, its, se_frozen, val_unc = _bisect_node(ev, guess, tol_rel, solver, i, aim, slope)
-        yhat[i] = root
-        iters[i] = its
-        solver_se[i] = se_frozen
-        value_se[i] = val_unc
-        if deterministic:
-            res[i], res_se[i] = ev(root)
-        else:
+        nodes[i] = node = _bisect_node(ev, guess, tol_rel, i, aim, slope)
+        yhat[i] = guess = node.root
+        if not deterministic:
             ev_audit.at(i, yhat[i + 1:])
-            res[i], res_se[i] = ev_audit(root)
-        # the next node's root, extrapolated from the last two, and the
-        # bracket slope: the root's uncertainty in residual over boundary units
-        aim = 2.0 * root - yhat[i + 1] if i + 1 < n else root
-        slope = se_frozen / val_unc
-        guess = root
+            audit, audit_se = ev_audit(guess)
+            nodes[i] = node._replace(residual=audit, residual_se=audit_se)
+        # the next node's root, extrapolated from the last two
+        aim = 2.0 * guess - yhat[i + 1] if i + 1 < n else guess
+        slope = node.slope
+    _, iters, res, res_se, solver_se, value_se, _ = map(np.array, zip(*nodes))
 
     meta = {
         "tol_rel": tol_rel,

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Commands: solve, simulate, verify, oracle.  Exit codes form a stable
-contract: 0 success, 2 config parse error, 3 assumption violation, 4 solver
-non-convergence, 5 unreadable boundary file or grid or hash mismatch,
-6 verification failure.
+contract: 0 success, 2 config parse error or unwritable output, 3 assumption
+violation, 4 solver non-convergence, 5 unreadable boundary file or grid or
+hash mismatch, 6 verification failure.
 Set CAPEX_LOG to DEBUG/INFO/WARNING for progress on stderr.
 """
 
@@ -128,18 +128,24 @@ def cmd_simulate(args) -> int:
     curve = _curve_from_file(args.boundary, cfg)
     mc = _mc(cfg, args)
     artifacts.ensure_dir(args.out)
+    timings = {}
     t0 = time.perf_counter()
-    batch = simulate(cfg.coeffs, cfg.grid, 0, mc.n_paths, MEASURE_P, mc.seed,
-                     mc.antithetic)
-    plans = build_controls(curve, batch, args.y, cfg.coeffs)
-    cap = controlled_capacity(batch.values, plans)
-    j_opt = profit(cfg.coeffs, cfg.production, cfg.scrap, batch, plans)
-    plans0 = zero_plan(batch, args.y)
-    j_zero = profit(cfg.coeffs, cfg.production, cfg.scrap, batch, plans0)
-    rate = float(np.mean(plans.nu[:, -1])) / cfg.grid.horizon
-    plans_c = constant_rate_plan(cfg.coeffs, batch, args.y, rate)
-    j_const = profit(cfg.coeffs, cfg.production, cfg.scrap, batch, plans_c)
-    elapsed = time.perf_counter() - t0
+    with _stage(timings, "simulate", "paths"):
+        batch = simulate(cfg.coeffs, cfg.grid, 0, mc.n_paths, MEASURE_P, mc.seed,
+                         mc.antithetic)
+    with _stage(timings, "simulate", "controls"):
+        plans = build_controls(curve, batch, args.y, cfg.coeffs)
+        cap = controlled_capacity(batch.values, plans)
+    with _stage(timings, "simulate", "profit"):
+        j_opt = profit(cfg.coeffs, cfg.production, cfg.scrap, batch, plans)
+        plans0 = zero_plan(batch, args.y)
+        j_zero = profit(cfg.coeffs, cfg.production, cfg.scrap, batch, plans0)
+        rate = float(np.mean(plans.nu[:, -1])) / cfg.grid.horizon
+        plans_c = constant_rate_plan(cfg.coeffs, batch, args.y, rate)
+        j_const = profit(cfg.coeffs, cfg.production, cfg.scrap, batch, plans_c)
+    timings["simulate_s"] = time.perf_counter() - t0
+    log.info("simulate: J(opt) %.6g (se %.3g), J(0) %.6g (se %.3g), J(const) %.6g (se %.3g)",
+             j_opt.mean, j_opt.se, j_zero.mean, j_zero.se, j_const.mean, j_const.se)
     # the files list min(limit, paths) rows, paths rounded up to even when
     # antithetic as sample_decay draws them; a volatility-free batch holds one
     # row for every path, repeated here as a read-only view
@@ -165,7 +171,7 @@ def cmd_simulate(args) -> int:
         "seed": mc.seed,
         "paths": mc.n_paths,
         "y": args.y,
-        "timings": {"simulate_s": elapsed},
+        "timings": timings,
         "outputs": outputs,
         "summary": {
             "J_opt": j_opt.mean, "J_opt_se": j_opt.se,
@@ -258,10 +264,7 @@ def cmd_oracle(args) -> int:
     gap, _ = shadow_value_gap(vdp, sdp)
     timings["oracle_s"] = time.perf_counter() - t0
     out_csv = os.path.join(args.out, "dp_boundary.csv")
-    rows = zip(cfg.grid.nodes[:-1], sdp.boundary, vdp.boundary)
-    with open(out_csv, "w") as fh:
-        fh.write("\n".join(["t,yhat_stopping,yhat_value"]
-                           + [",".join(map(artifacts.fmt, row)) for row in rows]) + "\n")
+    artifacts.write_dp_boundary_csv(out_csv, cfg.grid, sdp.boundary, vdp.boundary)
     artifacts.write_manifest(os.path.join(args.out, "report.json"), {
         "command": "oracle",
         "config_hash": cfg.config_hash,
@@ -349,6 +352,10 @@ def main(argv=None) -> int:
     except artifacts.BoundaryFileError as exc:
         print(f"boundary file error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except OSError as exc:
+        # unreadable inputs raise the errors above, so this one came from the outputs
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ class ConfigError(ValueError):
 _SECTIONS = {"grid", "coefficients", "production", "scrap", "tolerances", "mc", "lattice"}
 _COEFF_KEYS = {"mu_C", "sigma", "f_C", "mu_F", "w", "r", "f_C_prime", "eps_o", "bounds"}
 _BOUND_KEYS = {"k_f", "kappa_f", "k_w", "kappa_w", "k_r", "kappa_r"}
-_TOL_KEYS = {"tol_y", "tol_y_det", "max_iter", "cross_gap"}
+_TOL_KEYS = {"tol_y", "tol_y_det", "cross_gap"}
 _MC_KEYS = {"paths", "seed", "antithetic"}
 _LATTICE_KEYS = {"y_min", "y_max", "nodes"}
 
@@ -142,13 +142,11 @@ def parse_config(raw: dict) -> RunConfig:
     tsec = raw.get("tolerances", {})
     _require_keys("tolerances", tsec, _TOL_KEYS)
     d = SolverConfig()
-    tol = {"tol_y": d.tol_rel, "tol_y_det": d.tol_rel_det, "max_iter": d.max_iter,
-           "cross_gap": 0.10}
-    tol = {k: _number("tolerances", k, tsec.get(k, v), type(v)) for k, v in tol.items()}
-    if min(tol["tol_y"], tol["tol_y_det"], tol["cross_gap"]) <= 0 or tol["max_iter"] < 1:
-        raise ConfigError("tolerances: need tol_y, tol_y_det and cross_gap > 0 and max_iter >= 1")
-    solver = SolverConfig(tol_rel=tol["tol_y"], tol_rel_det=tol["tol_y_det"],
-                          max_iter=tol["max_iter"])
+    tol = {"tol_y": d.tol_rel, "tol_y_det": d.tol_rel_det, "cross_gap": 0.10}
+    tol = {k: _number("tolerances", k, tsec.get(k, v), float) for k, v in tol.items()}
+    if min(tol.values()) <= 0:
+        raise ConfigError("tolerances: need tol_y, tol_y_det and cross_gap > 0")
+    solver = SolverConfig(tol_rel=tol["tol_y"], tol_rel_det=tol["tol_y_det"])
 
     msec = raw.get("mc", {})
     _require_keys("mc", msec, _MC_KEYS)

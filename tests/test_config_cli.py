@@ -138,10 +138,11 @@ class TestCliSolve:
         rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 3
 
-    @pytest.mark.parametrize("scale,exponent", [(0.3, 0.2), (1.0, 0.1)])
+    @pytest.mark.parametrize("scale,exponent", [(0.3, 0.2), (1.0, 0.1), (0.3, 0.1)])
     def test_flat_power_marginal_solves(self, tmp_path, scale, exponent):
         # a marginal this flat was refused as violating Inada by a probe
-        # that demanded a 1e3 ratio over C in [1e-6, 1e6]
+        # that demanded a 1e3 ratio over C in [1e-6, 1e6]; the last row's
+        # root at the horizon lies near 5e-13
         payload = json.loads(json.dumps(STOCHASTIC))
         payload["production"] = {"variant": "power_marginal", "scale": scale,
                                  "exponent": exponent}
@@ -150,6 +151,28 @@ class TestCliSolve:
         rc = cli.main(["solve", "--config", write_cfg(tmp_path, payload),
                        "--out", str(tmp_path / "o")])
         assert rc == 0
+
+    @pytest.mark.parametrize("section,key,value", [("grid", "T", 1e-9),
+                                                   ("coefficients", "f_C", 1e-8)])
+    def test_tiny_units_solve(self, tmp_path, section, key, value):
+        # the README model in units that put the whole curve below 1e-11: the
+        # bracket reaches any positive float, so the units do not matter
+        payload = {
+            "grid": {"T": 1.0, "N": 25},
+            "coefficients": {"mu_C": 0.1, "sigma": 0.2, "f_C": 1.0, "mu_F": 0.05,
+                             "w": 1.0, "r": 1.0},
+            "production": {"variant": "cobb_douglas", "alpha": 0.25, "beta": 0.25,
+                           "gamma": 0.25, "kappa_L": 1e6, "kappa_K": 1e6},
+            "scrap": {"variant": "saturating_exponential", "a": 0.5, "b": 1.0},
+            "mc": {"paths": 400, "seed": 0},
+        }
+        payload[section][key] = value
+        out = tmp_path / "o"
+        rc = cli.main(["solve", "--config", write_cfg(tmp_path, payload), "--out", str(out)])
+        assert rc == 0
+        yhat = read_boundary_csv(str(out / "boundary.csv")).yhat
+        assert np.all(np.isfinite(yhat) & (yhat > 0))
+        assert yhat[-1] < 1e-12
 
     def test_stochastic_solve_logs_evaluator_summary(self, tmp_path, caplog):
         cfg = write_cfg(tmp_path, STOCHASTIC)
@@ -257,18 +280,26 @@ class TestCliSimulateVerify:
     @pytest.mark.parametrize("command,stages", [
         ("verify", ("foc", "stopping_dp", "cross")),
         ("oracle", ("stopping_dp", "value_dp")),
+        ("simulate", ("paths", "controls", "profit")),
     ])
     def test_stage_timings_in_manifest_and_log(self, solved, tmp_path, caplog, command, stages):
         tmp, cfg, boundary = solved
         out = str(tmp_path / command)
+        flags = ["--y", "0.5"] if command == "simulate" else []
         with caplog.at_level(logging.INFO, logger="capexbound"):
-            rc = cli.main([command, "--config", cfg, "--boundary", boundary, "--out", out])
+            rc = cli.main([command, "--config", cfg, "--boundary", boundary, "--out", out,
+                           *flags])
         assert rc == 0
-        timings = json.loads(open(os.path.join(out, "report.json")).read())["timings"]
+        manifest = "manifest.json" if command == "simulate" else "report.json"
+        timings = json.loads(open(os.path.join(out, manifest)).read())["timings"]
         assert set(timings) == {f"{s}_s" for s in (*stages, command)}
         assert all(v >= 0.0 for v in timings.values())
         assert sum(timings[f"{s}_s"] for s in stages) <= timings[f"{command}_s"]
         lines = [r.getMessage() for r in caplog.records if r.name == "capexbound"]
+        if command == "simulate":
+            # the three profit estimates follow the stages
+            assert lines[-1].startswith("simulate: J(opt) ")
+            lines = lines[:-1]
         assert [ln.split(" took ")[0] for ln in lines] == [f"{command}: {s}" for s in stages]
 
 

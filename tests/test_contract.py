@@ -235,6 +235,19 @@ class TestBadCommandLine:
         assert not out.exists()
 
 
+def test_out_naming_a_file_exits_2(solved_small, tmp_path, capsys):
+    d, cfg, _ = solved_small
+    boundary = os.path.join(d, "solve", "boundary.csv")
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for argv in (["solve"], ["simulate", "--boundary", boundary, "--y", "0.5"],
+                 ["verify", "--boundary", boundary], ["oracle", "--boundary", boundary]):
+        assert cli.main([*argv, "--config", cfg, "--out", str(taken)]) == 2, argv[0]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and all(line.startswith("cannot write outputs: ") for line in err)
+    assert taken.read_text() == "keep"
+
+
 # ---------------------------------------------------------------------------
 # fuzz
 
