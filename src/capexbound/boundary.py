@@ -3,11 +3,10 @@
 The boundary value at each node is the root, in the candidate level, of a
 discounted expectation of future marginal profits evaluated along the running
 supremum of boundary-to-decay ratios, minus the replacement cost of capital.
-Solving proceeds backward in time; at each node the root is bracketed by
-geometric expansion around the previous node's solution, over the whole range
-of positive floats, and then bisected -- a bisection replayed from a few probes
-near the predicted root, with the bracket, step count and root of plain
-bisection (``_Replay``).
+Solving proceeds backward in time.  At each node plain bisection (``_walk``)
+brackets the root by geometric expansion around the previous node's solution,
+over the whole range of positive floats, and bisects it; a few probes near the
+predicted root settle most of its signs (``_bisect_node``).
 
 Discretization conventions, shared with the policy and verification modules:
 
@@ -185,6 +184,8 @@ class _BatchResidual:
     evaluator for this and every earlier node, since the supremum only grows
     going backward; a candidate at or above ``b_safe``, the smallest level at
     which the candidate itself could reach the box, is evaluated densely too.
+    So is every node of a horizon whose discount from node 0, which the
+    weights W_j carry, falls below the normal floats.
     """
 
     def __init__(self, coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
@@ -210,8 +211,10 @@ class _BatchResidual:
         form = power_marginal_form(prod, coeffs.w[:n], coeffs.r[:n])
         if form[1] >= 0:
             return
-        scale, self.q, cap = form
         masses, self.terminal0 = discount_step_masses(grid, coeffs.bar_mu, 0)
+        if not self.terminal0 >= np.finfo(float).tiny:
+            return
+        scale, self.q, cap = form
         self.growth = np.exp(cumulative_integral(grid, coeffs.bar_mu))
         # one zero row past the last step keeps every block sum in range
         self.weight = np.zeros((n + 1, n_paths))
@@ -347,245 +350,56 @@ def residual(node: int, candidate: float, future: np.ndarray, batch: PathBatch,
     return ev(candidate)
 
 
-def _gate_assumptions(coeffs, prod, scrap, allow_zero_scrap, run_validation):
-    if not run_validation:
-        return None
-    report = validate(coeffs, prod, scrap)
-    failures = [c.name for c in report.failures() if c.name != "scrap-strict-decrease"]
-    if failures:
-        raise AssumptionError("assumption violations: " + ", ".join(failures))
-    if not scrap.strictly_decreasing_marginal and not allow_zero_scrap:
-        raise AssumptionError(
-            "scrap marginal is not strictly decreasing; pass allow_zero_scrap "
-            "to solve in the zero-scrap limit")
-    return report
-
-
-# the sign tests of plain bisection's bracket on the residual r at a
-# candidate: a lower end holds unless r <= 0, an upper one unless r >= 0; a
-# midpoint becomes the lower end if r > 0, which differs from the first only
-# on NaN.  A walk's phase is the end it is expanding, or _MID once it bisects.
+# plain bisection's sign tests on the residual r: a lower bracket end holds
+# unless r <= 0, an upper one unless r >= 0, and a midpoint becomes the lower
+# end if r > 0, which differs from the first only on NaN
 _LO, _HI, _MID = 0, 1, 2
+# evaluations the probes near the aim may run ahead of plain bisection's path
+_LEAD = 4
 
 
-class _FirstOpen(Exception):
-    """Ends a walk at its first open sign when that sign is the next probe."""
+def _walk(sign, seen: dict, lo: float, hi: float, tol_rel: float, node: int) -> tuple[float, float, int]:
+    """Plain bisection's control flow, with each sign test's outcome from ``sign``.
 
-
-class _Replay:
-    """Plain bisection of one node's residual, replayed from few evaluations.
-
-    ``walk`` runs the control flow of plain bisection: the bracket
-    [guess/2, 2 guess] with its geometric expansions, the midpoints, the stop
-    test and every error.  Each sign it needs comes from an evaluation at
-    that candidate if there is one, else from the evaluated points that
-    settle it -- on a non-increasing residual a point with r > 0 settles
-    r > 0 at every candidate at or below it, one with r <= 0 settles r <= 0
-    at or above it, and one with r < 0 settles r < 0 at or above it -- and
-    else it is predicted from ``aim``, the running root estimate, and left
-    open.  ``run`` evaluates one probe per walk that leaves a sign open, so
-    the walk it ends with took every sign from evaluations and its outcome
-    is the one plain bisection reaches.  Every sign before a walk's first
-    open one stays settled, so the next walk resumes there, in an expansion
-    or among the midpoints; and a walk stops at its first open sign when that
-    candidate is the next probe, so a bracket that expands k times costs
-    O(k) sign tests.
-
-    Probes lie on candidates of the walk: the open end of its final interval
-    nearest ``aim``, or its first open candidate, which is one plain
-    bisection evaluates.  ``aim`` starts at the caller's prediction.  Until
-    a sign change is found it then moves by residual over ``slope`` (the
-    previous node's bracket slope), later by the secant through the last two
-    probes, doubling the step where that secant does not fall; after it, by
-    Illinois regula falsi between the nearest points on either side.  The
-    probes near ``aim`` may run at most ``_LEAD`` evaluations ahead of the
-    signs settled on plain bisection's own path, else the first open
-    candidate is probed; so on a monotone residual no node costs more than
-    ``_LEAD + 2`` evaluations over plain bisection.  The first open
-    candidate is probed too when it is an expanded bracket end: the root has
-    then moved more than twofold from the guess, which the aim did not
-    foresee.  A non-finite residual ends inference: from then on a sign
-    comes only from an evaluation at the candidate itself, in plain
-    bisection's order, so NaN meets the same comparisons and errors as
-    there.
+    The bracket [lo, hi] expands geometrically, the lower end halving until
+    ``sign(lo, _LO)`` and the upper end doubling until ``sign(hi, _HI)``; it
+    then bisects to relative width ``tol_rel``, a midpoint becoming the
+    lower end if ``sign(mid, _MID)``.  ``seen`` maps each evaluated candidate
+    to its residual and standard error; two evaluated ends must show a
+    decreasing residual.  Returns the final bracket and the step count.
     """
-
-    _LEAD = 4
-
-    def __init__(self, ev, guess: float, tol_rel: float, node: int,
-                 aim: float, slope: float | None):
-        self.ev = ev
-        self.tol_rel = tol_rel
-        self.node = node
-        self.seen = {}
-        self.infer = True
-        # largest candidate with r > 0, smallest with r <= 0, smallest with
-        # r < 0 and largest with r >= 0
-        self.pos, self.nonpos, self.neg, self.nonneg = -np.inf, np.inf, np.inf, -np.inf
-        self.aim = aim if 0.0 < aim < np.inf else guess
-        self.follow_aim = True
-        self.slope = slope if slope is not None and 0.0 < slope < np.inf else None
-        # before a sign change: the last probe and the step taken from it
-        self.last = None
-        self.step = 0.0
-        # Illinois state: residuals weighting pos and nonpos, last end moved
-        self.f_pos = self.f_nonpos = 0.0
-        self.moved = 0
-        # where the next walk starts: bracket, step count, signs taken and
-        # phase just before the last walk's first open sign
-        self.start = self.resume = 0.5 * guess, 2.0 * guess, 0, 0, _LO
-
-    def value(self, x: float) -> tuple[float, float]:
-        if x not in self.seen:
-            self.seen[x] = self.ev(x)
-        return self.seen[x]
-
-    def sign(self, x: float, test: int) -> bool:
-        """Outcome of ``test`` at ``x``: evaluated, settled or predicted."""
-        self.open = False
-        self.signs += 1
-        if test == _HI:
-            if x >= self.neg:
-                return True
-            if x <= self.nonneg:
-                return False
+    # the bracket may reach any positive float, but never 0 or inf
+    while lo > 0.0 and not sign(lo, _LO):
+        lo *= 0.5
+    if lo == 0.0:
+        raise BracketError(f"node {node}: no sign change down to the smallest float")
+    while hi < np.inf and not sign(hi, _HI):
+        hi *= 2.0
+    if hi == np.inf:
+        raise BracketError(f"node {node}: no sign change up to the largest float")
+    # with signs from evaluations this holds unless a residual is NaN
+    if lo in seen and hi in seen and not seen[lo][0] > seen[hi][0]:
+        raise ConvergenceError(f"node {node}: residual not decreasing across the bracket")
+    iters = 0
+    # halving before adding keeps a midpoint near the largest float finite,
+    # with the bits of 0.5 * (lo + hi) elsewhere
+    mid = 0.5 * lo + 0.5 * hi
+    while hi - lo > tol_rel * mid:
+        iters += 1
+        if mid == lo or mid == hi:
+            raise ConvergenceError(f"node {node}: tolerance {tol_rel:g} is below the "
+                                   f"float resolution at {mid:g}")
+        if sign(mid, _MID):
+            lo = mid
         else:
-            if x <= self.pos:
-                return True
-            if x >= self.nonpos:
-                return False
-        known = self.seen.get(x)
-        if known is not None:
-            r = known[0]
-            return not (r <= 0.0 if test == _LO else r >= 0.0)
-        self.open = True
-        if self.first is None:
-            # ``fixed`` is the end not expanding, ``start`` the unexpanded ends
-            lo, hi = (x, self.fixed) if test == _LO else (self.fixed, x)
-            self.first_open(x, (lo, hi, 0, self.signs - 1, test), expanded=x != self.start[test])
-        return x > self.aim if test == _HI else x < self.aim
-
-    def first_open(self, x: float, resume: tuple, expanded: bool = False) -> None:
-        """Note the first open sign and the walk's state before it; stop if it is the next probe."""
-        self.first, self.resume = x, resume
-        settled = resume[2] + resume[3]
-        if expanded or not (self.infer and self.follow_aim and len(self.seen) - settled < self._LEAD):
-            raise _FirstOpen
-
-    def walk(self):
-        node, seen = self.node, self.seen
-        self.first = None
-        lo, hi, iters, self.signs, phase = self.resume
-        lo_open = hi_open = False
-        if phase == _LO:
-            # the bracket may reach any positive float, but never 0 or inf
-            self.fixed = hi
-            while lo > 0.0 and not self.sign(lo, _LO):
-                lo *= 0.5
-            if lo == 0.0:
-                raise BracketError(f"node {node}: no sign change down to the smallest float")
-            lo_open = self.open
-        if phase != _MID:
-            self.fixed = lo
-            while hi < np.inf and not self.sign(hi, _HI):
-                hi *= 2.0
-            if hi == np.inf:
-                raise BracketError(f"node {node}: no sign change up to the largest float")
-            hi_open = self.open
-            # with signs from evaluations this holds unless a residual is NaN
-            if lo in seen and hi in seen and not seen[lo][0] > seen[hi][0]:
-                raise ConvergenceError(f"node {node}: residual not decreasing across the bracket")
-        # the midpoint loop runs once per walk and probe, so ``sign`` is
-        # inlined there; halving before adding keeps a midpoint near the
-        # largest float finite, with the bits of 0.5 * (lo + hi) elsewhere
-        tol_rel, pos, nonpos, aim = self.tol_rel, self.pos, self.nonpos, self.aim
+            hi = mid
         mid = 0.5 * lo + 0.5 * hi
-        while hi - lo > tol_rel * mid:
-            iters += 1
-            if mid == lo or mid == hi:
-                raise ConvergenceError(f"node {node}: tolerance {tol_rel:g} is below the "
-                                       f"float resolution at {mid:g}")
-            if mid <= pos:
-                lo, lo_open = mid, False
-            elif mid >= nonpos:
-                hi, hi_open = mid, False
-            else:
-                known = seen.get(mid)
-                is_open = known is None
-                if is_open and self.first is None:
-                    self.first_open(mid, (lo, hi, iters - 1, self.signs, _MID))
-                if (mid < aim) if is_open else (known[0] > 0.0):
-                    lo, lo_open = mid, is_open
-                else:
-                    hi, hi_open = mid, is_open
-            mid = 0.5 * lo + 0.5 * hi
-        return lo, hi, iters, lo_open, hi_open
-
-    def run(self) -> tuple[float, float, int]:
-        """Final bracket and step count of plain bisection."""
-        while True:
-            try:
-                lo, hi, iters, lo_open, hi_open = self.walk()
-            except (BracketError, ConvergenceError, _FirstOpen):
-                if self.first is None:
-                    raise
-                self.probe(self.first)
-                continue
-            if self.first is None:
-                return lo, hi, iters
-            # the walk went on past its first open sign, so probes may follow the aim
-            ends = [x for x, is_open in ((lo, lo_open), (hi, hi_open)) if is_open]
-            self.probe(min(ends, key=lambda x: abs(x - self.aim)) if ends else self.first)
-
-    def probe(self, x: float) -> None:
-        r = self.value(x)[0]
-        if not self.infer:
-            return
-        if not math.isfinite(r):
-            self.infer = False
-            self.resume = self.start
-            self.pos, self.nonpos, self.neg, self.nonneg = -np.inf, np.inf, np.inf, -np.inf
-            return
-        bracketed = self.pos > -np.inf and self.nonpos < np.inf
-        # an open candidate lies above pos, and below nonpos unless it was an
-        # upper bracket end at or above a zero of the residual
-        if r > 0.0:
-            self.pos, self.f_pos = x, r
-            self.nonneg = max(self.nonneg, x)
-        else:
-            if x < self.nonpos:
-                self.nonpos, self.f_nonpos = x, r
-            if r < 0.0:
-                self.neg = min(self.neg, x)
-            else:
-                self.nonneg = max(self.nonneg, x)
-        moved = 1 if r > 0.0 else -1
-        if self.pos > -np.inf and self.nonpos < np.inf:
-            if bracketed and moved == self.moved:
-                if moved > 0:
-                    self.f_nonpos *= 0.5
-                else:
-                    self.f_pos *= 0.5
-            self.moved = moved
-            self.follow_aim = True
-            self.aim = self.pos + self.f_pos * (self.nonpos - self.pos) / (self.f_pos - self.f_nonpos)
-        elif self.slope is not None:
-            step = r / self.slope
-            if self.last is not None:
-                last_x, last_r = self.last
-                secant = (last_r - r) / (x - last_x)
-                step = r / secant if secant > 0.0 else math.copysign(2.0 * abs(self.step), step)
-            self.last = x, r
-            self.step = step
-            self.aim = x + step if x + step > 0.0 else 0.5 * x
-        else:
-            self.follow_aim = False
+    return lo, hi, iters
 
 
 # one node's solve on its frozen batch: the root, plain bisection's steps, the
 # residual and its standard error at the root, the root's uncertainty in
-# residual and in boundary units, and the residual's drop per boundary unit
-# across the final bracket
+# residual and in boundary units, and the residual's drop across the bracket
 _NodeRecord = namedtuple("_NodeRecord",
                          "root iters residual residual_se solver_se value_se slope")
 
@@ -595,31 +409,151 @@ def _bisect_node(ev, guess: float, tol_rel: float, node: int, aim: float | None 
     """Root of one node's residual, bit for bit the one plain bisection finds.
 
     Plain bisection brackets the root by halving ``guess/2`` and doubling
-    ``2 guess`` and bisects to ``tol_rel``; ``_Replay`` reaches its final
-    bracket and step count from a few evaluations, given a residual that is
-    non-increasing in the candidate.  ``aim`` predicts the root (``guess`` by
-    default) and ``slope`` the residual's slope, to place those evaluations.
-    Returns the node's record: everything the solve keeps of the node, and
-    the slope that places the next node's evaluations.
+    ``2 guess`` and bisects to ``tol_rel``.  Each pass here runs ``_walk`` on
+    the signs that evaluations settle on a non-increasing residual: r > 0 at
+    a point holds below it, r <= 0 and r < 0 above it.  Any other sign is
+    predicted from ``aim``, and the pass then evaluates one probe: the open
+    end of its final bracket nearest ``aim``, or else its first open
+    candidate, which plain bisection evaluates too.  A pass with no open sign
+    is plain bisection.
+
+    ``aim`` starts at the caller's prediction (``guess`` by default) and moves
+    by residual over ``slope`` (the previous node's bracket slope), then by
+    the secant through the last two probes, doubling the step where that
+    secant does not fall, and once the root is bracketed by Illinois regula
+    falsi.  A pass's first open sign is evaluated on the spot instead when
+    the probes are ``_LEAD`` evaluations ahead of plain bisection's path,
+    when ``aim`` cannot move, or at an expanded bracket end, which the aim
+    did not foresee: a node then costs at most ``_LEAD + 2`` evaluations
+    over plain bisection, and a pass O(k) sign tests over k expansions.
+    After a non-finite residual the node is bisected on evaluations alone,
+    through the cache.  Returns the node's record, whose slope places the
+    next node's evaluations.
     """
-    replay = _Replay(ev, guess, tol_rel, node, guess if aim is None else aim, slope)
-    lo, hi, iters = replay.run()
-    res_lo = replay.value(lo)[0]
-    res_hi = replay.value(hi)[0]
+    seen = {}
+    lo0, hi0 = 0.5 * guess, 2.0 * guess
+    infer = follow_aim = True
+    # largest candidate with r > 0, smallest with r <= 0, smallest with r < 0
+    # and largest with r >= 0
+    pos, nonpos, neg, nonneg = -np.inf, np.inf, np.inf, -np.inf
+    aim = aim if aim is not None and 0.0 < aim < np.inf else guess
+    slope = slope if slope is not None and 0.0 < slope < np.inf else None
+    # before a sign change: the last probe and the step taken from it
+    last, step = None, 0.0
+    # Illinois state: residuals weighting pos and nonpos, and whether pos
+    # moved last once both are known
+    f_pos = f_nonpos = 0.0
+    moved = None
+
+    def value(x):
+        if x not in seen:
+            seen[x] = ev(x)
+        return seen[x]
+
+    def probe(x):
+        nonlocal infer, pos, nonpos, neg, nonneg, aim, follow_aim, last, step, f_pos, f_nonpos, moved
+        r = value(x)[0]
+        if not math.isfinite(r):
+            infer = False
+            return
+        # a probe lies above pos, and below nonpos unless it was an upper
+        # bracket end at or above a zero of the residual
+        if r > 0.0:
+            pos, f_pos = x, r
+        elif x < nonpos:
+            nonpos, f_nonpos = x, r
+        if r < 0.0:
+            neg = min(neg, x)
+        else:
+            nonneg = max(nonneg, x)
+        if pos > -np.inf and nonpos < np.inf:
+            if moved == (r > 0.0):
+                if moved:
+                    f_nonpos *= 0.5
+                else:
+                    f_pos *= 0.5
+            moved = r > 0.0
+            follow_aim = True
+            aim = pos + f_pos * (nonpos - pos) / (f_pos - f_nonpos)
+        elif slope is not None:
+            new_step = r / slope
+            if last is not None:
+                last_x, last_r = last
+                secant = (last_r - r) / (x - last_x)
+                new_step = r / secant if secant > 0.0 else math.copysign(2.0 * abs(step), new_step)
+            last, step = (x, r), new_step
+            aim = x + step if x + step > 0.0 else 0.5 * x
+        else:
+            follow_aim = False
+
+    def settled(x, test):
+        """Outcome of ``test`` at ``x``: settled, evaluated or predicted."""
+        nonlocal tests, first, upper
+        tests += 1
+        # every evaluated candidate is settled by these bounds
+        if test == _HI:
+            if x >= neg:
+                return True
+            if x <= nonneg:
+                return False
+        elif x <= pos:
+            return True
+        elif x >= nonpos:
+            return False
+        if first is None:
+            if not infer:
+                # a non-finite probe voided this pass: finish it unevaluated
+                return True
+            # tests - 1 signs came before this one on plain bisection's path
+            if (not follow_aim or len(seen) - tests + 1 >= _LEAD
+                    or test != _MID and x != (lo0, hi0)[test]):
+                probe(x)
+                r = seen[x][0]
+                return r < 0.0 if test == _HI else r > 0.0
+            first = x
+        if test != _HI:
+            return x < aim
+        # an upper end predicted to hold; no midpoint can land on it
+        upper = x if x > aim else upper
+        return x > aim
+
+    def evaluated(x, test):
+        r = value(x)[0]
+        return r > 0.0 if test == _MID else not (r >= 0.0 if test == _HI else r <= 0.0)
+
+    while infer:
+        first, upper, tests = None, None, 0
+        try:
+            lo, hi, iters = _walk(settled, seen, lo0, hi0, tol_rel, node)
+        except (BracketError, ConvergenceError):
+            if first is None and infer:
+                raise
+            ends = ()
+        else:
+            # the final ends whose signs were predicted: those the bounds
+            # leave open, and an upper end held by prediction above a zero
+            ends = [x for x in (lo, hi) if pos < x < nonpos or x == upper]
+        if first is None:
+            break
+        probe(min(ends, key=lambda x: abs(x - aim), default=first))
+    if not infer:
+        lo, hi, iters = _walk(evaluated, seen, lo0, hi0, tol_rel, node)
+    res_lo = value(lo)[0]
+    res_hi = value(hi)[0]
     root = 0.5 * lo + 0.5 * hi
-    res_root, se_root = replay.value(root)
+    res_root, se_root = value(root)
     # residual uncertainty carried by the root: Monte-Carlo noise of the frozen
     # batch plus the final bracket width times the local slope; the same two
     # pieces expressed in boundary units give the root's own standard error
-    slope = (res_lo - res_hi) / max(hi - lo, 1e-300)
-    root_unc = np.hypot(se_root, 0.5 * slope * (hi - lo))
-    value_unc = np.hypot(0.5 * (hi - lo), se_root / max(slope, 1e-300))
-    return _NodeRecord(root, iters, res_root, se_root, float(root_unc), float(value_unc), slope)
+    fall = (res_lo - res_hi) / max(hi - lo, 1e-300)
+    root_unc = np.hypot(se_root, 0.5 * fall * (hi - lo))
+    value_unc = np.hypot(0.5 * (hi - lo), se_root / max(fall, 1e-300))
+    return _NodeRecord(root, iters, res_root, se_root, float(root_unc), float(value_unc), fall)
 
 
 def solve_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
                    mc: McConfig = McConfig(), solver: SolverConfig = SolverConfig(),
-                   allow_zero_scrap: bool = False, run_validation: bool = True) -> BoundaryCurve:
+                   allow_zero_scrap: bool = False) -> BoundaryCurve:
     """Solve the exercise boundary by backward induction with per-node bisection.
 
     Each node freezes one batch of changed-measure paths, brackets the root
@@ -634,19 +568,24 @@ def solve_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpe
     one row, whatever ``mc`` says, to the deterministic tolerance, and its
     residual is evaluated on the same row.
     """
-    report = _gate_assumptions(coeffs, prod, scrap, allow_zero_scrap, run_validation)
+    report = validate(coeffs, prod, scrap)
+    failures = [c.name for c in report.failures() if c.name != "scrap-strict-decrease"]
+    if failures:
+        raise AssumptionError("assumption violations: " + ", ".join(failures))
+    if not scrap.strictly_decreasing_marginal and not allow_zero_scrap:
+        raise AssumptionError(
+            "scrap marginal is not strictly decreasing; pass allow_zero_scrap "
+            "to solve in the zero-scrap limit")
     return _solve_backward(coeffs, prod, scrap, mc, solver, report)
 
 
 def deterministic_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
                            solver: SolverConfig = SolverConfig(),
-                           allow_zero_scrap: bool = False,
-                           run_validation: bool = True) -> BoundaryCurve:
+                           allow_zero_scrap: bool = False) -> BoundaryCurve:
     """Boundary for a volatility-free instance: single deterministic path."""
     if not coeffs.is_sigma_zero():
         raise ValueError("deterministic boundary requires sigma identically zero")
-    return solve_boundary(coeffs, prod, scrap, solver=solver,
-                          allow_zero_scrap=allow_zero_scrap, run_validation=run_validation)
+    return solve_boundary(coeffs, prod, scrap, solver=solver, allow_zero_scrap=allow_zero_scrap)
 
 
 def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,

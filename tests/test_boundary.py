@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 import capexbound as cb
+from capexbound import boundary
 from capexbound.boundary import BracketError, McConfig
 from capexbound.model import SyntheticMarginal
 
@@ -170,9 +171,10 @@ class TestSolveBoundary:
         coeffs = cb.CoefficientSet.build(grid, mu_C=0.0, sigma=0.0, f_C=1.0,
                                          mu_F=1.0, w=1.0, r=1.0)
         flat = SyntheticMarginal(power_scale=1e13, power_exponent=0.0)
+        # below the assumption gate, which rejects a marginal without Inada
         with pytest.raises(BracketError):
-            cb.deterministic_boundary(coeffs, flat, cb.ZeroScrap(),
-                                      allow_zero_scrap=True, run_validation=False)
+            boundary._solve_backward(coeffs, flat, cb.ZeroScrap(), McConfig(),
+                                     boundary.SolverConfig(), report=None)
 
     def test_monotone_under_efficiency(self):
         grid = cb.TimeGrid.uniform(1.0, 30)
@@ -197,3 +199,16 @@ class TestSolveBoundary:
         b = cb.solve_boundary(coeffs, prod, scrap, mc=McConfig(n_paths=1000, seed=7))
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.residual, b.residual)
+
+    @pytest.mark.parametrize("horizon, mu_F", [(1.0, 1000.0), (5000.0, 0.05)])
+    def test_discount_below_normal_floats_solves_dense(self, horizon, mu_F):
+        # exp(-int bar_mu) over the horizon is below the smallest normal
+        # float, which the record blocks' node-0 weights cannot carry
+        grid = cb.TimeGrid.uniform(horizon, 25)
+        coeffs = cb.CoefficientSet.build(grid, mu_C=0.1, sigma=0.2, f_C=1.0,
+                                         mu_F=mu_F, w=1.0, r=1.0)
+        curve = cb.solve_boundary(coeffs, cb.CobbDouglas(0.25, 0.25, 0.25, 1e6, 1e6),
+                                  cb.SaturatingExponential(0.5, 1.0),
+                                  mc=McConfig(n_paths=400, seed=0))
+        assert curve.meta["dense_nodes"] == 25
+        assert np.all(np.isfinite(curve.values)) and np.all(curve.values > 0)

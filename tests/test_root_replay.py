@@ -262,7 +262,7 @@ def test_replay_matches_plain_bisection(shape, guess, root_octaves, left, right,
         # the probes stay within _LEAD evaluations of plain bisection's
         # count before the root's; the final bracket ends and the root may
         # still need one each
-        assert replayed.evals <= plain.evals + boundary._Replay._LEAD + 2
+        assert replayed.evals <= plain.evals + boundary._LEAD + 2
 
 
 def test_zero_residual_does_not_settle_upper_bracket_end():
@@ -272,6 +272,18 @@ def test_zero_residual_does_not_settle_upper_bracket_end():
     want = outcome(plain_bisect, Counted(fn), 1.0, 1e-4, 0)
     for aim in (1.0, 1.5, 2.5, 3.5):
         assert outcome(boundary._bisect_node, Counted(fn), 1.0, 1e-4, 0, aim, 1.0) == want
+
+
+def test_predicted_upper_end_above_a_zero_is_probed():
+    # r = 0 on [1.9999, 3]: the first probe, near the aim 2.0, finds r = 0
+    # just below the upper end 2.0, where r < 0 is still open; that end of
+    # the next pass's final bracket lies nearest the aim, so it is probed
+    fn = lambda x: 1.9999 - x if x < 1.9999 else min(0.0, 3.0 - x)
+    seen = []
+    ev = lambda x: (seen.append(x), (fn(x), 0.0))[1]
+    want = outcome(plain_bisect, Counted(fn), 1.0, 1e-4, 0)
+    assert outcome(boundary._bisect_node, ev, 1.0, 1e-4, 0, 2.0, 1.0) == want
+    assert seen[1] == 2.0
 
 
 def test_non_finite_probe_replays_plain_order():
@@ -288,3 +300,16 @@ def test_non_finite_probe_replays_plain_order():
     # bisection does
     assert calls["plain"] == [0.5, 2.0]
     assert calls["replay"][1:] == calls["plain"]
+
+
+@pytest.mark.parametrize("root", [1e-300, 5e-13, 1e300])
+@pytest.mark.parametrize("hint", [(), (1.0, 1.0), ("root", 1.0)], ids=["none", "guess", "root"])
+def test_far_root_matches_plain_bisection(root, hint):
+    # the bracket expands about 40 to 1000 times from the guess 1.0; the aim
+    # is the guess, the root itself, or nothing
+    hint = tuple(root if h == "root" else h for h in hint)
+    fn = residual_shape("kinked", root, 1.0, 1.0, 0.1)
+    plain, replayed = Counted(fn), Counted(fn)
+    want = outcome(plain_bisect, plain, 1.0, 1e-9, 0)
+    assert outcome(boundary._bisect_node, replayed, 1.0, 1e-9, 0, *hint) == want
+    assert replayed.evals <= plain.evals + boundary._LEAD + 2
