@@ -37,7 +37,7 @@ def main():
     print(f"max |yhat - closed form| = {err.max():.3e}")
 
     # sigma = 0: the batch is the one deterministic path
-    batch = cb.simulate(coeffs, grid, 0, 1, cb.MEASURE_P)
+    batch = cb.simulate(coeffs, 1, cb.MEASURE_P)
     y = args.start_fraction * curve.values[0]
     nubar = cb.build_controls(curve, batch, y, coeffs).nubar[0]
     print(f"start {y:.4f} below boundary {curve.values[0]:.4f}: "

@@ -39,7 +39,7 @@ def main():
     z = np.abs(curve.residual) / np.maximum(curve.combined_se, 1e-300)
     print(f"fresh-seed residual audit: worst {z.max():.2f} se units")
 
-    batch = cb.simulate(coeffs, grid, 0, args.paths, cb.MEASURE_P, seed=args.seed + 1)
+    batch = cb.simulate(coeffs, args.paths, cb.MEASURE_P, seed=args.seed + 1)
     y0 = float(curve.values[0])
     foc = check_foc(curve, [0.5 * y0, 2.0 * y0], coeffs, prod, scrap, batch)
     print(f"first-order conditions: {'PASS' if foc.passed else 'FAIL'} "

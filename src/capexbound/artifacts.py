@@ -86,7 +86,7 @@ def read_boundary_csv(path: str) -> BoundaryFile:
 def write_controls_csv(path: str, grid: TimeGrid, plans, capacity: np.ndarray,
                        limit: int = 100) -> None:
     n_dump = min(limit, plans.nubar.shape[0])
-    t = grid.nodes[plans.s_idx:]
+    t = grid.nodes
     lines = ["path_id,t,nubar,nu,capacity"]
     for p in range(n_dump):
         for k in range(t.size):
@@ -97,7 +97,7 @@ def write_controls_csv(path: str, grid: TimeGrid, plans, capacity: np.ndarray,
 
 def write_paths_csv(path: str, grid: TimeGrid, batch, limit: int = 100) -> None:
     n_dump = min(limit, batch.values.shape[0])
-    t = grid.nodes[batch.s_idx:]
+    t = grid.nodes
     lines = ["path_id,t,value,measure"]
     for p in range(n_dump):
         for k in range(t.size):

@@ -110,25 +110,27 @@ class BoundaryCurve:
 class _NodeResidual:
     """Dense residual evaluator at one node on a frozen set of decay paths.
 
-    Every evaluation computes the reduced marginal at each path's argument on
-    every remaining step, so it serves any production spec and any input box.
-    The solver falls back to it where the record-block evaluator does not
-    apply, and ``residual`` uses it directly as the reference evaluator.
+    ``paths`` runs from t = 0 to the horizon; the sub-paths from the node are
+    its column slice rescaled to start at one.  Every evaluation computes the
+    reduced marginal at each path's argument on every remaining step, so it
+    serves any production spec and any input box.  The solver falls back to
+    it where the record-block evaluator does not apply, and ``residual`` uses
+    it directly as the reference evaluator.
     """
 
     def __init__(self, coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
-                 node: int, decay: np.ndarray, future: np.ndarray, antithetic: bool):
+                 node: int, paths: np.ndarray, future: np.ndarray, antithetic: bool):
         grid = coeffs.grid
         n = grid.n_steps
         m = n - node
-        if decay.ndim != 2 or decay.shape[1] != m + 1:
-            raise ValueError("decay matrix shape does not match the node")
+        if paths.ndim != 2 or paths.shape[1] != n + 1:
+            raise ValueError("path matrix shape does not match the grid")
         if future.size != n - 1 - node:
             raise ValueError("future boundary values have the wrong length")
         self.prod = prod
         self.scrap = scrap
         self.antithetic = antithetic
-        self.decay = decay
+        self.decay = decay = np.divide(paths[:, node:], paths[:, node:node + 1], order="C")
         self.m = m
         self.masses, self.terminal = discount_step_masses(grid, coeffs.bar_mu, node)
         self.w_row = coeffs.w[node:n]
@@ -200,6 +202,12 @@ class _BatchResidual:
         self.n = n
         # node-major, so every per-node row read is contiguous
         self.cp = np.ascontiguousarray(cp.T)
+        # a path at 0 or inf would rescale its sub-paths to 0/0 or inf/inf
+        low, high = self.cp.min(axis=1), self.cp.max(axis=1)
+        bad = np.flatnonzero(~((low > 0.0) & (high < np.inf)))
+        if bad.size:
+            kind = "underflow to 0" if low[bad[0]] == 0.0 else "overflow"
+            raise ConvergenceError(f"node {bad[0]}: decay paths {kind} in double precision")
         self.node = n
         self.future = None
         self.dense = None
@@ -306,9 +314,7 @@ class _BatchResidual:
 
     def _dense(self) -> _NodeResidual:
         if self.dense is None:
-            i = self.node
-            decay = np.divide(self.cp[i:].T, self.cp[i][:, None], order="C")
-            self.dense = _NodeResidual(self.coeffs, self.prod, self.scrap, i, decay,
+            self.dense = _NodeResidual(self.coeffs, self.prod, self.scrap, self.node, self.cp.T,
                                        self.future, self.antithetic)
             self.dense_nodes += 1
             if self.blocks_on:
@@ -336,11 +342,10 @@ def residual(node: int, candidate: float, future: np.ndarray, batch: PathBatch,
              coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec) -> tuple[float, float]:
     """Monte-Carlo residual of the boundary equation at one node.
 
-    ``batch`` must start at the node and be simulated under the changed
-    measure.  Returns the estimate and its standard error.
+    ``batch`` is simulated from t = 0 under the changed measure; its paths
+    from the node on, rescaled to start at one, enter the expectation.
+    Returns the estimate and its standard error.
     """
-    if batch.s_idx != node:
-        raise ValueError("batch must start at the evaluated node")
     if batch.measure != MEASURE_Q:
         raise ValueError("residual expects paths under the changed measure")
     future = np.asarray(future, dtype=float)
@@ -474,7 +479,9 @@ def _bisect_node(ev, guess: float, tol_rel: float, node: int, aim: float | None 
                     f_pos *= 0.5
             moved = r > 0.0
             follow_aim = True
-            aim = pos + f_pos * (nonpos - pos) / (f_pos - f_nonpos)
+            # a halved weight underflowing to the other's 0 leaves the midpoint
+            aim = (pos + f_pos * (nonpos - pos) / (f_pos - f_nonpos) if f_pos != f_nonpos
+                   else 0.5 * pos + 0.5 * nonpos)
         elif slope is not None:
             new_step = r / slope
             if last is not None:
@@ -599,11 +606,15 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
     # one Gaussian matrix per purpose drives every node: the sub-path from
     # node i is the column slice rescaled to start at one, so neighbouring
     # nodes share noise and the solved curve varies smoothly in time
-    ev = _BatchResidual(coeffs, prod, scrap, sample_decay(
-        coeffs, 0, mc.n_paths, MEASURE_Q, mc.seed, "solve", antithetic), antithetic)
+    def evaluator(purpose):
+        # _BatchResidual reports a path that overflows, so exp need not warn
+        with np.errstate(over="ignore"):
+            cp = sample_decay(coeffs, mc.n_paths, MEASURE_Q, mc.seed, purpose, antithetic)
+        return _BatchResidual(coeffs, prod, scrap, cp, antithetic)
+
+    ev = evaluator("solve")
     # a fresh batch at sigma = 0 would be the same single row again
-    ev_audit = None if deterministic else _BatchResidual(coeffs, prod, scrap, sample_decay(
-        coeffs, 0, mc.n_paths, MEASURE_Q, mc.seed, "audit", antithetic), antithetic)
+    ev_audit = None if deterministic else evaluator("audit")
 
     yhat = np.empty(n)
     nodes = [None] * n

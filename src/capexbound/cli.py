@@ -131,8 +131,7 @@ def cmd_simulate(args) -> int:
     timings = {}
     t0 = time.perf_counter()
     with _stage(timings, "simulate", "paths"):
-        batch = simulate(cfg.coeffs, cfg.grid, 0, mc.n_paths, MEASURE_P, mc.seed,
-                         mc.antithetic)
+        batch = simulate(cfg.coeffs, mc.n_paths, MEASURE_P, mc.seed, mc.antithetic)
     with _stage(timings, "simulate", "controls"):
         plans = build_controls(curve, batch, args.y, cfg.coeffs)
         cap = controlled_capacity(batch.values, plans)
@@ -204,8 +203,7 @@ def cmd_verify(args) -> int:
     timings = {}
     t0 = time.perf_counter()
     with _stage(timings, "verify", "foc"):
-        batch = simulate(cfg.coeffs, cfg.grid, 0, mc.n_paths, MEASURE_P, mc.seed + 1,
-                         mc.antithetic)
+        batch = simulate(cfg.coeffs, mc.n_paths, MEASURE_P, mc.seed + 1, mc.antithetic)
         y0 = float(curve.values[0])
         y_list = args.y if args.y else [0.5 * y0, 2.0 * y0]
         foc = check_foc(curve, y_list, cfg.coeffs, cfg.production, cfg.scrap, batch)

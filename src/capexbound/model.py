@@ -185,16 +185,15 @@ class CoefficientSet:
     def sigma_sq(self) -> np.ndarray:
         return self.sigma ** 2
 
-    def variance_steps(self, start: int = 0) -> np.ndarray:
+    def variance_steps(self) -> np.ndarray:
         """Exact per-step integral of sigma^2 under linear interpolation of sigma."""
-        s0 = self.sigma[start:-1]
-        s1 = self.sigma[start + 1:]
-        return self.grid.deltas[start:] * (s0 * s0 + s0 * s1 + s1 * s1) / 3.0
+        s0 = self.sigma[:-1]
+        s1 = self.sigma[1:]
+        return self.grid.deltas * (s0 * s0 + s0 * s1 + s1 * s1) / 3.0
 
-    def drift_steps(self, start: int = 0) -> np.ndarray:
+    def drift_steps(self) -> np.ndarray:
         """Per-step integral of mu_C (trapezoid, exact for linear mu_C)."""
-        cum = cumulative_integral(self.grid, self.mu_C)
-        return np.diff(cum[start:])
+        return np.diff(cumulative_integral(self.grid, self.mu_C))
 
     def is_sigma_zero(self) -> bool:
         return bool(np.all(self.sigma == 0.0))

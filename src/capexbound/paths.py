@@ -7,9 +7,10 @@ Euler bias: under the physical measure the log increment over a step has mean
 measure used by the boundary equation the mean is int (sigma^2 - mu_C)
 - 0.5 int sigma^2.
 
-Randomness comes from counter-based Philox streams keyed by (seed, purpose,
-node), with one matrix row per path, so results are reproducible and
-independent of how work is split across workers.
+Randomness comes from counter-based Philox streams keyed by (seed, purpose),
+with one matrix row per path, so results are reproducible and independent of
+how work is split across workers.  Every batch starts at t = 0; the paths from
+a later node are the column slice from that node, rescaled to start at one.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ MEASURE_Q = "Q"
 _PURPOSE_TAGS = {"simulate": 1, "solve": 2, "audit": 3}
 
 
-def log_increment_moments(coeffs: CoefficientSet, measure: str, start: int = 0):
-    """Per-step (mean, variance) of the log decay factor from node ``start``."""
-    var = coeffs.variance_steps(start)
-    drift = coeffs.drift_steps(start)
+def log_increment_moments(coeffs: CoefficientSet, measure: str):
+    """Per-step (mean, variance) of the log decay factor."""
+    var = coeffs.variance_steps()
+    drift = coeffs.drift_steps()
     if measure == MEASURE_P:
         mean = -drift - 0.5 * var
     elif measure == MEASURE_Q:
@@ -39,31 +40,29 @@ def log_increment_moments(coeffs: CoefficientSet, measure: str, start: int = 0):
     return mean, var
 
 
-def gaussian_matrix(seed: int, purpose: str, node: int, shape: tuple) -> np.ndarray:
-    """Standard normals from a Philox stream keyed by (seed, purpose, node)."""
+def gaussian_matrix(seed: int, purpose: str, shape: tuple) -> np.ndarray:
+    """Standard normals from a Philox stream keyed by (seed, purpose)."""
     tag = _PURPOSE_TAGS.get(purpose)
     if tag is None:
         raise ValueError(f"unknown purpose {purpose!r}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(tag, int(node)))
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(tag, 0))
     gen = np.random.Generator(np.random.Philox(ss))
     return gen.standard_normal(shape)
 
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Paths sharing grid, start node, measure and generator stream.
+    """Paths sharing grid, measure and generator stream.
 
-    ``values`` has one row per path and one column per node from ``s_idx``
-    to the horizon.  With ``antithetic`` the second half of the rows mirrors
+    ``values`` has one row per path and one column per node from t = 0 to
+    the horizon.  With ``antithetic`` the second half of the rows mirrors
     the Gaussian draws of the first half.  A volatility-free batch has a
     single row that stands for every path.
     """
 
     grid: TimeGrid
-    s_idx: int
     values: np.ndarray
     measure: str
-    seed: int
     antithetic: bool = True
 
     def __post_init__(self):
@@ -96,38 +95,37 @@ def mean_and_se(per_path: np.ndarray, antithetic: bool) -> tuple[float, float]:
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n))
 
 
-def values_from_normals(coeffs: CoefficientSet, s_idx: int, normals: np.ndarray,
-                        measure: str) -> np.ndarray:
+def values_from_normals(coeffs: CoefficientSet, normals: np.ndarray, measure: str) -> np.ndarray:
     """Decay-factor matrix from standard normal step draws (exact stepping)."""
-    mean, var = log_increment_moments(coeffs, measure, s_idx)
+    mean, var = log_increment_moments(coeffs, measure)
     log_steps = mean[None, :] + np.sqrt(var)[None, :] * normals
     logs = np.concatenate([np.zeros((normals.shape[0], 1)), np.cumsum(log_steps, axis=1)], axis=1)
     return np.exp(logs)
 
 
-def sample_decay(coeffs: CoefficientSet, s_idx: int, n: int, measure: str, seed: int,
-                 purpose: str, antithetic: bool) -> np.ndarray:
-    """Decay-factor matrix from node ``s_idx`` on the stream keyed by ``purpose``.
+def sample_decay(coeffs: CoefficientSet, n: int, measure: str, seed: int, purpose: str,
+                 antithetic: bool) -> np.ndarray:
+    """Decay-factor matrix from t = 0 on the stream keyed by ``purpose``.
 
     With ``antithetic`` the count is rounded up to an even number and the
     second half of the rows mirrors the Gaussian draws of the first half.
     When sigma is identically zero every path is the same, so the matrix is
     one row built from zero normals, with no draw, whatever ``n`` is.
     """
-    m = coeffs.grid.n_steps - s_idx
+    m = coeffs.grid.n_steps
     if coeffs.is_sigma_zero():
         normals = np.zeros((1, m))
     elif antithetic:
-        z = gaussian_matrix(seed, purpose, s_idx, ((n + 1) // 2, m))
+        z = gaussian_matrix(seed, purpose, ((n + 1) // 2, m))
         normals = np.concatenate([z, -z], axis=0)
     else:
-        normals = gaussian_matrix(seed, purpose, s_idx, (n, m))
-    return values_from_normals(coeffs, s_idx, normals, measure)
+        normals = gaussian_matrix(seed, purpose, (n, m))
+    return values_from_normals(coeffs, normals, measure)
 
 
-def simulate(coeffs: CoefficientSet, grid: TimeGrid, s_idx: int, n: int,
-             measure: str = MEASURE_P, seed: int = 0, antithetic: bool = True) -> PathBatch:
-    """Simulate ``n`` decay-factor paths from node ``s_idx``.
+def simulate(coeffs: CoefficientSet, n: int, measure: str = MEASURE_P, seed: int = 0,
+             antithetic: bool = True) -> PathBatch:
+    """Simulate ``n`` decay-factor paths from t = 0 on the coefficients' grid.
 
     With ``antithetic`` the count is rounded up to an even number and draws
     come in +/- pairs.  A fixed seed reproduces the batch bit for bit.  A
@@ -136,12 +134,8 @@ def simulate(coeffs: CoefficientSet, grid: TimeGrid, s_idx: int, n: int,
     """
     if n < 1:
         raise ValueError("need at least one path")
-    if not 0 <= s_idx < grid.n_steps:
-        raise ValueError("start node must lie strictly before the horizon")
-    if grid.nodes.shape != coeffs.grid.nodes.shape or np.any(grid.nodes != coeffs.grid.nodes):
-        raise ValueError("grid mismatch between coefficients and request")
-    vals = sample_decay(coeffs, s_idx, n, measure, seed, "simulate", antithetic)
-    return PathBatch(grid, s_idx, vals, measure, seed, antithetic)
+    vals = sample_decay(coeffs, n, measure, seed, "simulate", antithetic)
+    return PathBatch(coeffs.grid, vals, measure, antithetic)
 
 
 def running_sup_matrix(values: np.ndarray, curve_tail: np.ndarray) -> np.ndarray:

@@ -77,7 +77,7 @@ def trinomial_steps(coeffs: CoefficientSet, measure: str):
     branches sit at +/- sqrt(3) standard deviations with weight 1/6 each,
     so mean and variance match the exact transition identically.
     """
-    mean, var = log_increment_moments(coeffs, measure, 0)
+    mean, var = log_increment_moments(coeffs, measure)
     h = np.sqrt(3.0 * var)
     shifts = np.stack([mean + h, mean, mean - h], axis=1)
     probs = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
@@ -294,8 +294,6 @@ class _FocWorkspace:
                  prod: ProductionSpec, scrap: ScrapSpec, batch: PathBatch):
         if batch.measure != MEASURE_P:
             raise ValueError("first-order conditions are evaluated under the physical measure")
-        if batch.s_idx != 0:
-            raise ValueError("supergradient batches start at time zero")
         grid = batch.grid
         n = grid.n_steps
         self.batch = batch

@@ -180,7 +180,7 @@ def test_criterion_6_shadow_value_identity(oracle_instance):
 
 def test_criterion_7_first_order_conditions(stochastic_instance):
     si = stochastic_instance
-    batch = cb.simulate(si["coeffs"], si["grid"], 0, 20000, cb.MEASURE_P, seed=21)
+    batch = cb.simulate(si["coeffs"], 20000, cb.MEASURE_P, seed=21)
     y0 = float(si["curve"].values[0])
     rep = check_foc(si["curve"], [0.5 * y0, 2.0 * y0], si["coeffs"], si["prod"],
                     si["scrap"], batch)
@@ -194,7 +194,7 @@ def test_criterion_7_first_order_conditions(stochastic_instance):
 
 def test_criterion_8_policy_dominance(stochastic_instance):
     si = stochastic_instance
-    batch = cb.simulate(si["coeffs"], si["grid"], 0, 10000, cb.MEASURE_P, seed=22)
+    batch = cb.simulate(si["coeffs"], 10000, cb.MEASURE_P, seed=22)
     y = 0.5 * float(si["curve"].values[0])
     plans = cb.build_controls(si["curve"], batch, y, si["coeffs"])
     j_opt = cb.profit(si["coeffs"], si["prod"], si["scrap"], batch, plans)
@@ -218,9 +218,9 @@ def test_criterion_8_policy_dominance(stochastic_instance):
 def test_criterion_9_control_continuity_proxy(efficiency_instance):
     fine = efficiency_instance[120]
     coarse = efficiency_instance[60]
-    batch_f = cb.simulate(fine["coeffs"], fine["grid"], 0, 20000, cb.MEASURE_P, seed=23)
-    batch_c = cb.PathBatch(coarse["grid"], 0, batch_f.values[:, ::2], cb.MEASURE_P,
-                           seed=23, antithetic=batch_f.antithetic)
+    batch_f = cb.simulate(fine["coeffs"], 20000, cb.MEASURE_P, seed=23)
+    batch_c = cb.PathBatch(coarse["grid"], batch_f.values[:, ::2], cb.MEASURE_P,
+                           antithetic=batch_f.antithetic)
     y = 0.9 * float(fine["curve"].values[0])
     inc_f = np.diff(cb.build_controls(fine["curve"], batch_f, y,
                                       fine["coeffs"]).nubar[:, 1:], axis=1)

@@ -12,7 +12,7 @@ def test_controls_csv_shape_and_values(tmp_path):
     grid = cb.TimeGrid.uniform(1.0, 4)
     coeffs = cb.CoefficientSet.build(grid, mu_C=0.1, sigma=0.2, f_C=1.0,
                                      mu_F=0.05, w=1.0, r=1.0)
-    batch = cb.simulate(coeffs, grid, 0, 6, cb.MEASURE_P, seed=0)
+    batch = cb.simulate(coeffs, 6, cb.MEASURE_P, seed=0)
     plans = cb.zero_plan(batch, 0.5)
     cap = cb.controlled_capacity(batch.values, plans)
     path = tmp_path / "controls.csv"
@@ -29,15 +29,15 @@ def test_paths_csv_carries_measure(tmp_path):
     grid = cb.TimeGrid.uniform(1.0, 3)
     coeffs = cb.CoefficientSet.build(grid, mu_C=0.1, sigma=0.2, f_C=1.0,
                                      mu_F=0.05, w=1.0, r=1.0)
-    batch = cb.simulate(coeffs, grid, 1, 4, cb.MEASURE_Q, seed=1)
+    batch = cb.simulate(coeffs, 4, cb.MEASURE_Q, seed=1)
     path = tmp_path / "paths.csv"
     write_paths_csv(str(path), grid, batch, limit=2)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "path_id,t,value,measure"
     assert all(ln.endswith(",Q") for ln in lines[1:])
-    # starts at the batch's start node, value one
+    # starts at t = 0, value one
     row = lines[1].split(",")
-    assert float(row[1]) == grid.nodes[1]
+    assert float(row[1]) == 0.0
     assert float(row[2]) == 1.0
 
 

@@ -25,8 +25,8 @@ class TestResidual:
         # constant future equal to the candidate collapses the running sup,
         # and the exact step masses reproduce the continuum integral
         grid, coeffs, prod, scrap = closed_form_setup(40)
+        batch = cb.simulate(coeffs, 2, cb.MEASURE_Q, seed=0)
         for i in (0, 13, 31):
-            batch = cb.simulate(coeffs, grid, i, 2, cb.MEASURE_Q, seed=0)
             for b in (0.3, 0.8, 2.0):
                 future = np.full(grid.n_steps - 1 - i, b)
                 val, se = cb.residual(i, b, future, batch, coeffs, prod, scrap)
@@ -36,14 +36,14 @@ class TestResidual:
 
     def test_small_candidate_positive(self):
         grid, coeffs, prod, scrap = closed_form_setup(20)
-        batch = cb.simulate(coeffs, grid, 0, 2, cb.MEASURE_Q, seed=0)
+        batch = cb.simulate(coeffs, 2, cb.MEASURE_Q, seed=0)
         future = np.full(grid.n_steps - 1, 1e-8)
         val, _ = cb.residual(0, 1e-8, future, batch, coeffs, prod, scrap)
         assert val > 0
 
     def test_huge_candidate_tends_to_minus_replacement_cost(self):
         grid, coeffs, prod, scrap = closed_form_setup(20)
-        batch = cb.simulate(coeffs, grid, 0, 2, cb.MEASURE_Q, seed=0)
+        batch = cb.simulate(coeffs, 2, cb.MEASURE_Q, seed=0)
         future = np.full(grid.n_steps - 1, 1e9)
         val, _ = cb.residual(0, 1e9, future, batch, coeffs, prod, scrap)
         assert val < 0
@@ -51,15 +51,9 @@ class TestResidual:
 
     def test_rejects_nonpositive_candidate(self):
         grid, coeffs, prod, scrap = closed_form_setup(10)
-        batch = cb.simulate(coeffs, grid, 0, 2, cb.MEASURE_Q, seed=0)
+        batch = cb.simulate(coeffs, 2, cb.MEASURE_Q, seed=0)
         with pytest.raises(ValueError):
             cb.residual(0, 0.0, np.full(9, 0.5), batch, coeffs, prod, scrap)
-
-    def test_rejects_wrong_start_node(self):
-        grid, coeffs, prod, scrap = closed_form_setup(10)
-        batch = cb.simulate(coeffs, grid, 2, 2, cb.MEASURE_Q, seed=0)
-        with pytest.raises(ValueError):
-            cb.residual(1, 0.5, np.full(8, 0.5), batch, coeffs, prod, scrap)
 
     def test_monotone_in_candidate(self):
         grid = cb.TimeGrid.uniform(1.0, 25)
@@ -67,7 +61,7 @@ class TestResidual:
                                          mu_F=0.05, w=1.0, r=1.0)
         prod = cb.power_marginal(0.3, 1.0)
         scrap = cb.SaturatingExponential(0.5, 1.0)
-        batch = cb.simulate(coeffs, grid, 5, 500, cb.MEASURE_Q, seed=8)
+        batch = cb.simulate(coeffs, 500, cb.MEASURE_Q, seed=8)
         future = np.linspace(0.4, 0.05, grid.n_steps - 6)
         cands = np.geomspace(0.01, 10.0, 12)
         vals = [cb.residual(5, c, future, batch, coeffs, prod, scrap)[0] for c in cands]

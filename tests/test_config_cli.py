@@ -27,6 +27,16 @@ STOCHASTIC = {
     "mc": {"paths": 3000, "seed": 5},
 }
 
+# the README model on a 25-node grid
+README_MODEL = {
+    "grid": {"T": 1.0, "N": 25},
+    "coefficients": {"mu_C": 0.1, "sigma": 0.2, "f_C": 1.0, "mu_F": 0.05, "w": 1.0, "r": 1.0},
+    "production": {"variant": "cobb_douglas", "alpha": 0.25, "beta": 0.25, "gamma": 0.25,
+                   "kappa_L": 1e6, "kappa_K": 1e6},
+    "scrap": {"variant": "saturating_exponential", "a": 0.5, "b": 1.0},
+    "mc": {"paths": 400, "seed": 0},
+}
+
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
     p = tmp_path / name
@@ -157,15 +167,7 @@ class TestCliSolve:
     def test_tiny_units_solve(self, tmp_path, section, key, value):
         # the README model in units that put the whole curve below 1e-11: the
         # bracket reaches any positive float, so the units do not matter
-        payload = {
-            "grid": {"T": 1.0, "N": 25},
-            "coefficients": {"mu_C": 0.1, "sigma": 0.2, "f_C": 1.0, "mu_F": 0.05,
-                             "w": 1.0, "r": 1.0},
-            "production": {"variant": "cobb_douglas", "alpha": 0.25, "beta": 0.25,
-                           "gamma": 0.25, "kappa_L": 1e6, "kappa_K": 1e6},
-            "scrap": {"variant": "saturating_exponential", "a": 0.5, "b": 1.0},
-            "mc": {"paths": 400, "seed": 0},
-        }
+        payload = json.loads(json.dumps(README_MODEL))
         payload[section][key] = value
         out = tmp_path / "o"
         rc = cli.main(["solve", "--config", write_cfg(tmp_path, payload), "--out", str(out)])
@@ -173,6 +175,22 @@ class TestCliSolve:
         yhat = read_boundary_csv(str(out / "boundary.csv")).yhat
         assert np.all(np.isfinite(yhat) & (yhat > 0))
         assert yhat[-1] < 1e-12
+
+    @pytest.mark.parametrize("section,key,value,kind", [
+        ("grid", "T", 2e4, "underflow to 0"),
+        ("grid", "T", 1e6, "underflow to 0"),
+        ("coefficients", "sigma", 60.0, "overflow"),
+    ])
+    def test_decay_beyond_double_precision_exits_4(self, tmp_path, capsys, section, key,
+                                                   value, kind):
+        # the decay paths leave the doubles long before the horizon; the
+        # solve stops there instead of dividing 0 by 0 or inf by inf
+        payload = json.loads(json.dumps(README_MODEL))
+        payload[section][key] = value
+        rc = cli.main(["solve", "--config", write_cfg(tmp_path, payload),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert f"decay paths {kind} in double precision" in capsys.readouterr().err
 
     def test_stochastic_solve_logs_evaluator_summary(self, tmp_path, caplog):
         cfg = write_cfg(tmp_path, STOCHASTIC)

@@ -16,8 +16,7 @@ def flat_curve(grid, values):
 
 def unit_batch(grid):
     """One path with no decay, so capacity moves only through the plan."""
-    return cb.PathBatch(grid, 0, np.ones((1, grid.nodes.size)), cb.MEASURE_P,
-                        seed=0, antithetic=False)
+    return cb.PathBatch(grid, np.ones((1, grid.nodes.size)), cb.MEASURE_P, antithetic=False)
 
 
 ZERO_PROD = SyntheticMarginal(power_scale=0.0, power_exponent=0.0)
@@ -64,7 +63,7 @@ class TestBuildControl:
     def test_expenditure_stieltjes(self):
         grid = cb.TimeGrid.uniform(1.0, 3)
         coeffs = simple_coeffs(grid, sigma=0.0, mu_C=0.3, f_C=0.5)
-        batch = cb.simulate(coeffs, grid, 0, 2, cb.MEASURE_P, seed=0)
+        batch = cb.simulate(coeffs, 2, cb.MEASURE_P, seed=0)
         curve = flat_curve(grid, [0.5, 0.55, 0.6])
         plans = cb.build_controls(curve, batch, 0.4, coeffs)
         nubar = plans.nubar[0]
@@ -80,7 +79,7 @@ class TestControlledCapacity:
     def test_zero_plan(self):
         grid = cb.TimeGrid.uniform(1.0, 5)
         coeffs = simple_coeffs(grid)
-        batch = cb.simulate(coeffs, grid, 0, 6, cb.MEASURE_P, seed=1)
+        batch = cb.simulate(coeffs, 6, cb.MEASURE_P, seed=1)
         plans = cb.zero_plan(batch, 0.7)
         cap = cb.controlled_capacity(batch.values, plans)
         assert np.allclose(cap, 0.7 * batch.values)
@@ -88,9 +87,9 @@ class TestControlledCapacity:
     def test_constant_ledger_is_affine(self):
         grid = cb.TimeGrid.uniform(1.0, 4)
         coeffs = simple_coeffs(grid)
-        batch = cb.simulate(coeffs, grid, 0, 4, cb.MEASURE_P, seed=2)
+        batch = cb.simulate(coeffs, 4, cb.MEASURE_P, seed=2)
         c = 0.3
-        plans = PlanBatch(0, 1.1, np.full(batch.values.shape, c),
+        plans = PlanBatch(1.1, np.full(batch.values.shape, c),
                           np.zeros(batch.values.shape))
         cap = cb.controlled_capacity(batch.values, plans)
         assert np.allclose(cap, (1.1 + c) * batch.values)
@@ -98,14 +97,14 @@ class TestControlledCapacity:
     def test_affine_in_plan(self):
         grid = cb.TimeGrid.uniform(1.0, 4)
         coeffs = simple_coeffs(grid)
-        batch = cb.simulate(coeffs, grid, 0, 4, cb.MEASURE_P, seed=3)
+        batch = cb.simulate(coeffs, 4, cb.MEASURE_P, seed=3)
         rng = np.random.default_rng(0)
         n1 = np.cumsum(rng.uniform(0, 1, batch.values.shape), axis=1)
         n2 = np.cumsum(rng.uniform(0, 1, batch.values.shape), axis=1)
         y = 0.9
-        cap1 = cb.controlled_capacity(batch.values, PlanBatch(0, y, n1, n1))
-        cap2 = cb.controlled_capacity(batch.values, PlanBatch(0, y, n2, n2))
-        mid = cb.controlled_capacity(batch.values, PlanBatch(0, y, 0.5 * (n1 + n2), n1))
+        cap1 = cb.controlled_capacity(batch.values, PlanBatch(y, n1, n1))
+        cap2 = cb.controlled_capacity(batch.values, PlanBatch(y, n2, n2))
+        mid = cb.controlled_capacity(batch.values, PlanBatch(y, 0.5 * (n1 + n2), n1))
         assert np.allclose(mid + y * batch.values * 0.0,
                            0.5 * (cap1 + cap2), rtol=1e-13)
 
@@ -115,7 +114,7 @@ class TestControlledCapacity:
         prod = cb.power_marginal(0.3, 1.0)
         scrap = cb.SaturatingExponential(0.5, 1.0)
         curve = cb.solve_boundary(coeffs, prod, scrap, mc=McConfig(n_paths=2000, seed=4))
-        batch = cb.simulate(coeffs, grid, 0, 2000, cb.MEASURE_P, seed=9)
+        batch = cb.simulate(coeffs, 2000, cb.MEASURE_P, seed=9)
         y = 0.6 * curve.values[0]
         plans = cb.build_controls(curve, batch, y, coeffs)
         cap = cb.controlled_capacity(batch.values, plans)
@@ -134,7 +133,7 @@ class TestProfit:
     def test_empty_functional(self):
         grid = cb.TimeGrid.uniform(1.0, 5)
         coeffs = simple_coeffs(grid)
-        batch = cb.simulate(coeffs, grid, 0, 8, cb.MEASURE_P, seed=5)
+        batch = cb.simulate(coeffs, 8, cb.MEASURE_P, seed=5)
         est = cb.profit(coeffs, ZERO_PROD, cb.ZeroScrap(), batch, cb.zero_plan(batch, 1.0))
         assert est.mean == 0.0
         assert est.se == 0.0
@@ -142,7 +141,7 @@ class TestProfit:
     def test_requires_physical_measure(self):
         grid = cb.TimeGrid.uniform(1.0, 5)
         coeffs = simple_coeffs(grid)
-        batch = cb.simulate(coeffs, grid, 0, 8, cb.MEASURE_Q, seed=5)
+        batch = cb.simulate(coeffs, 8, cb.MEASURE_Q, seed=5)
         with pytest.raises(ValueError):
             cb.profit(coeffs, ZERO_PROD, cb.ZeroScrap(), batch, cb.zero_plan(batch, 1.0))
 
@@ -155,7 +154,7 @@ class TestProfit:
         coeffs = simple_coeffs(grid, sigma=0.0, mu_C=mu_c, mu_F=mu_f)
         prod = cb.power_marginal(0.5, 2.0)
         scrap = cb.SaturatingExponential(0.5, 1.0)
-        batch = cb.simulate(coeffs, grid, 0, 2, cb.MEASURE_P, seed=0)
+        batch = cb.simulate(coeffs, 2, cb.MEASURE_P, seed=0)
         est = cb.profit(coeffs, prod, scrap, batch, cb.zero_plan(batch, y))
 
         def rate(t):
@@ -171,7 +170,7 @@ class TestProfit:
         grid = cb.TimeGrid.uniform(1.0, 7)
         coeffs = simple_coeffs(grid, sigma=0.0, mu_C=0.0, mu_F=0.4)
         lin = SyntheticMarginal(power_scale=2.0, power_exponent=0.0)
-        batch = cb.simulate(coeffs, grid, 0, 2, cb.MEASURE_P, seed=0)
+        batch = cb.simulate(coeffs, 2, cb.MEASURE_P, seed=0)
         est = cb.profit(coeffs, lin, cb.ZeroScrap(), batch, cb.zero_plan(batch, 1.5))
         target = 2.0 * 1.5 * (1 - np.exp(-0.4)) / 0.4
         assert est.mean == pytest.approx(target, rel=1e-13)
@@ -182,7 +181,7 @@ class TestProfit:
         prod = cb.CobbDouglas(0.25, 0.25, 0.25)
         scrap = cb.SaturatingExponential(0.5, 1.0)
         curve = cb.solve_boundary(coeffs, prod, scrap, mc=McConfig(n_paths=3000, seed=6))
-        batch = cb.simulate(coeffs, grid, 0, 4000, cb.MEASURE_P, seed=11)
+        batch = cb.simulate(coeffs, 4000, cb.MEASURE_P, seed=11)
         y = 0.5 * curve.values[0]
         plans = cb.build_controls(curve, batch, y, coeffs)
         j_opt = cb.profit(coeffs, prod, scrap, batch, plans)
@@ -194,8 +193,8 @@ class TestProfit:
     def test_grid_mismatch_rejected(self):
         grid = cb.TimeGrid.uniform(1.0, 5)
         coeffs = simple_coeffs(grid)
-        batch = cb.simulate(coeffs, grid, 0, 8, cb.MEASURE_P, seed=5)
-        bad = PlanBatch(0, 1.0, np.zeros((8, 3)), np.zeros((8, 3)))
+        batch = cb.simulate(coeffs, 8, cb.MEASURE_P, seed=5)
+        bad = PlanBatch(1.0, np.zeros((8, 3)), np.zeros((8, 3)))
         with pytest.raises(ValueError):
             cb.profit(coeffs, ZERO_PROD, cb.ZeroScrap(), batch, bad)
 
@@ -216,9 +215,9 @@ class TestContinuityProxy:
         scrap = cb.SaturatingExponential(0.5, 1.0)
         curve_f = cb.solve_boundary(coeffs_f, prod, scrap, mc=McConfig(n_paths=3000, seed=12))
         curve_c = cb.solve_boundary(coeffs_c, prod, scrap, mc=McConfig(n_paths=3000, seed=12))
-        batch_f = cb.simulate(coeffs_f, grid_f, 0, 4000, cb.MEASURE_P, seed=13)
-        batch_c = cb.PathBatch(grid_c, 0, batch_f.values[:, ::2], cb.MEASURE_P,
-                               seed=13, antithetic=batch_f.antithetic)
+        batch_f = cb.simulate(coeffs_f, 4000, cb.MEASURE_P, seed=13)
+        batch_c = cb.PathBatch(grid_c, batch_f.values[:, ::2], cb.MEASURE_P,
+                               antithetic=batch_f.antithetic)
         y = 0.9 * curve_f.values[0]
         inc_f = np.diff(cb.build_controls(curve_f, batch_f, y, coeffs_f).nubar[:, 1:], axis=1)
         inc_c = np.diff(cb.build_controls(curve_c, batch_c, y, coeffs_c).nubar[:, 1:], axis=1)

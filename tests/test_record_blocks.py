@@ -32,8 +32,7 @@ def _walk(coeffs, prod, scrap, cp, curve, antithetic, rel_candidates):
     for i in range(n - 1, -1, -1):
         future = curve[i + 1:]
         ev.at(i, future)
-        dense = _NodeResidual(coeffs, prod, scrap, i, cp[:, i:] / cp[:, i:i + 1],
-                              future, antithetic)
+        dense = _NodeResidual(coeffs, prod, scrap, i, cp, future, antithetic)
         candidates = [f * curve[i] for f in rel_candidates]
         if ev.blocks_on and np.isfinite(ev.b_safe):
             candidates += [ev.b_safe * (1.0 - 1e-9), ev.b_safe, 2.0 * ev.b_safe]
@@ -78,7 +77,7 @@ def test_block_matches_dense_on_random_batches(n, n_paths, antithetic, seed, sig
     # above the candidates and trip the box test at some nodes
     prod = cb.power_marginal(1.3, 0.7) if power else cb.CobbDouglas(0.25, 0.25, 0.25, kappa, kappa)
     coeffs, prod, scrap = _instance(n, sigma, mu_C, w_slope, r_slope, prod)
-    cp = sample_decay(coeffs, 0, n_paths, MEASURE_Q, seed, "solve", antithetic)
+    cp = sample_decay(coeffs, n_paths, MEASURE_Q, seed, "solve", antithetic)
     curve = np.array(levels[:n])
     if along_decay and sigma == 0.0:
         curve = levels[0] * cp[0, :n]
@@ -91,20 +90,20 @@ def test_deep_stacks_ties_and_box_fallback():
     # dense fallback part way back
     n = 24
     coeffs, prod, scrap = _instance(n, 0.3, 0.1, 0.2, -0.2, cb.CobbDouglas(0.25, 0.25, 0.25))
-    cp = sample_decay(coeffs, 0, 40, MEASURE_Q, 3, "solve", True)
+    cp = sample_decay(coeffs, 40, MEASURE_Q, 3, "solve", True)
     curve = np.exp(np.linspace(0.0, 3.0, n))
     ev = _walk(coeffs, prod, scrap, cp, curve, True, (0.3, 1.0, 3.0))
     assert ev.blocks_on and ev.stack_q.shape[0] > 3
 
     coeffs, prod, scrap = _instance(n, 0.0, 0.0, 0.0, 0.0, cb.power_marginal(1.0, 0.5))
-    cp = sample_decay(coeffs, 0, 1, MEASURE_Q, 0, "solve", True)
+    cp = sample_decay(coeffs, 1, MEASURE_Q, 0, "solve", True)
     tied = np.repeat([2.0, 1.0, 3.0], n // 3)
     ev = _walk(coeffs, prod, scrap, cp, tied, True, (0.5, 1.0, 2.0))
     assert ev.blocks_on and max(top for _, top in ev.depths) == 2
 
     boxed = cb.CobbDouglas(0.25, 0.25, 0.25, 5.0, 5.0)
     coeffs, prod, scrap = _instance(n, 0.3, 0.1, 0.0, 0.0, boxed)
-    cp = sample_decay(coeffs, 0, 40, MEASURE_Q, 3, "solve", True)
+    cp = sample_decay(coeffs, 40, MEASURE_Q, 3, "solve", True)
     ev = _walk(coeffs, prod, scrap, cp, curve, True, (0.3, 1.0, 3.0))
     assert not ev.blocks_on and ev.dense_nodes > 0
 

@@ -313,3 +313,20 @@ def test_far_root_matches_plain_bisection(root, hint):
     want = outcome(plain_bisect, plain, 1.0, 1e-9, 0)
     assert outcome(boundary._bisect_node, replayed, 1.0, 1e-9, 0, *hint) == want
     assert replayed.evals <= plain.evals + boundary._LEAD + 2
+
+
+@pytest.mark.parametrize("root, left, right, guess, tol_rel, aim, slope", [
+    (4.1273409416761766e-221, 2.130908435330217, 1.0416920618723037e-4,
+     0.11655668431641442, 1e-9, 2.0636704708380883e-221, 0.0),
+    (3.425724314973946e-192, 0.00856817762450675, 699192.264969991,
+     250.07462015060963, 1e-4, 2.1410776968587163e-193, None),
+], ids=["zero-slope", "no-slope"])
+def test_illinois_weights_underflowing_to_equal_values(root, left, right, guess, tol_rel,
+                                                       aim, slope):
+    # a probe lands on r == 0 and the halved weight of the other bracket end
+    # underflows to 0 too, so regula falsi has no secant to follow
+    fn = residual_shape("kinked", root, left, right, 0.1)
+    plain, replayed = Counted(fn), Counted(fn)
+    want = outcome(plain_bisect, plain, guess, tol_rel, 0)
+    assert outcome(boundary._bisect_node, replayed, guess, tol_rel, 0, aim, slope) == want
+    assert replayed.evals <= plain.evals + boundary._LEAD + 2

@@ -40,7 +40,7 @@ def test_residual_audit(varying):
 def test_public_residual_consistent_with_solver(varying):
     v = varying
     i = 10
-    batch = cb.simulate(v["coeffs"], v["grid"], i, 8000, cb.MEASURE_Q, seed=77)
+    batch = cb.simulate(v["coeffs"], 8000, cb.MEASURE_Q, seed=77)
     val, se = cb.residual(i, float(v["curve"].values[i]), v["curve"].values[i + 1:],
                           batch, v["coeffs"], v["prod"], v["scrap"])
     combined = np.hypot(se, v["curve"].solver_se[i])
@@ -49,7 +49,7 @@ def test_public_residual_consistent_with_solver(varying):
 
 def test_foc_holds(varying):
     v = varying
-    batch = cb.simulate(v["coeffs"], v["grid"], 0, 12000, cb.MEASURE_P, seed=32)
+    batch = cb.simulate(v["coeffs"], 12000, cb.MEASURE_P, seed=32)
     y0 = float(v["curve"].values[0])
     rep = check_foc(v["curve"], [0.6 * y0, 1.8 * y0], v["coeffs"], v["prod"],
                     v["scrap"], batch)
@@ -70,7 +70,7 @@ def test_fast_path_matches_generic_per_column_scales(varying):
     # scale; the record-block evaluator must agree with the dense route
     from capexbound.boundary import _BatchResidual, _NodeResidual
     v = varying
-    cp = cb.simulate(v["coeffs"], v["grid"], 0, 500, cb.MEASURE_Q, seed=5).values
+    cp = cb.simulate(v["coeffs"], 500, cb.MEASURE_Q, seed=5).values
     values = v["curve"].values
     ev = _BatchResidual(v["coeffs"], v["prod"], v["scrap"], cp, True)
     for i in range(v["grid"].n_steps - 1, -1, -1):
@@ -78,8 +78,7 @@ def test_fast_path_matches_generic_per_column_scales(varying):
         if i != 7:
             continue
         assert ev.blocks_on and ev.dense is None
-        dense = _NodeResidual(v["coeffs"], v["prod"], v["scrap"], i,
-                              cp[:, i:] / cp[:, i:i + 1], values[i + 1:], True)
+        dense = _NodeResidual(v["coeffs"], v["prod"], v["scrap"], i, cp, values[i + 1:], True)
         for b in (0.5 * values[i], values[i], 2.0 * values[i]):
             assert np.allclose(ev.per_path(float(b)), dense.per_path(float(b)), rtol=1e-11)
         assert ev.dense is None

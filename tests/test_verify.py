@@ -48,7 +48,7 @@ class TestTrinomial:
         coeffs = coeffs_for(grid, sigma=lambda t: 0.1 + 0.2 * t)
         for measure in (MEASURE_P, MEASURE_Q):
             shifts, probs = trinomial_steps(coeffs, measure)
-            mean, var = log_increment_moments(coeffs, measure, 0)
+            mean, var = log_increment_moments(coeffs, measure)
             assert probs.sum() == pytest.approx(1.0)
             assert np.all(probs >= 0)
             assert np.allclose(shifts @ probs, mean, atol=1e-15)
@@ -211,7 +211,7 @@ class TestSupergradient:
         coeffs = coeffs_for(grid)
         flat = BoundaryCurve(grid, np.full(10, 1e-12), np.zeros(10), np.zeros(10),
                              np.zeros(10), np.zeros(10, dtype=int), meta={})
-        batch = cb.simulate(coeffs, grid, 0, 64, MEASURE_P, seed=0)
+        batch = cb.simulate(coeffs, 64, MEASURE_P, seed=0)
         est, se = supergradient(flat, 1.0, coeffs, ZERO_PROD, cb.ZeroScrap(),
                                 batch, StoppingRule.at_node(0))
         assert est == pytest.approx(-1.0, abs=1e-14)
@@ -223,7 +223,7 @@ class TestSupergradient:
         prod = cb.CobbDouglas(0.25, 0.25, 0.25)
         scrap = cb.SaturatingExponential(0.5, 1.0)
         curve = cb.solve_boundary(coeffs, prod, scrap, mc=McConfig(n_paths=4000, seed=1))
-        batch = cb.simulate(coeffs, grid, 0, 8000, MEASURE_P, seed=2)
+        batch = cb.simulate(coeffs, 8000, MEASURE_P, seed=2)
         est, se = supergradient(curve, 0.5 * curve.values[0], coeffs, prod,
                                 scrap, batch, StoppingRule.first_investment())
         assert abs(est) <= 2 * se + 1e-9
@@ -234,7 +234,7 @@ class TestSupergradient:
         prod = cb.CobbDouglas(0.25, 0.25, 0.25)
         scrap = cb.SaturatingExponential(0.5, 1.0)
         curve = cb.solve_boundary(coeffs, prod, scrap, mc=McConfig(n_paths=4000, seed=1))
-        batch = cb.simulate(coeffs, grid, 0, 8000, MEASURE_P, seed=2)
+        batch = cb.simulate(coeffs, 8000, MEASURE_P, seed=2)
         est, se = supergradient(curve, 3.0 * curve.values[0], coeffs, prod,
                                 scrap, batch, StoppingRule.at_node(0))
         assert est < -2 * se
@@ -243,7 +243,7 @@ class TestSupergradient:
     def test_hitting_rule_is_first_crossing(self):
         grid = cb.TimeGrid.uniform(1.0, 12)
         coeffs = coeffs_for(grid)
-        batch = cb.simulate(coeffs, grid, 0, 32, MEASURE_P, seed=3)
+        batch = cb.simulate(coeffs, 32, MEASURE_P, seed=3)
         cap = 0.8 * batch.values
         rule = StoppingRule.hitting(0.75, "th")
         idx = rule.indices(cap)
@@ -256,7 +256,7 @@ class TestSupergradient:
 class TestCheckFoc:
     def test_closed_form_instance_passes(self):
         grid, coeffs, prod, scrap, curve = closed_form_instance(50)
-        batch = cb.simulate(coeffs, grid, 0, 4, MEASURE_P, seed=0)
+        batch = cb.simulate(coeffs, 4, MEASURE_P, seed=0)
         rep = check_foc(curve, [0.5 * curve.values[0], 2.0 * curve.values[0]],
                         coeffs, prod, scrap, batch)
         assert rep.passed
@@ -266,7 +266,7 @@ class TestCheckFoc:
 
     def test_slackness_exactly_zero_without_investment(self):
         grid, coeffs, prod, scrap, curve = closed_form_instance(30)
-        batch = cb.simulate(coeffs, grid, 0, 4, MEASURE_P, seed=0)
+        batch = cb.simulate(coeffs, 4, MEASURE_P, seed=0)
         rep = check_foc(curve, [5.0 * curve.values[0]], coeffs, prod, scrap, batch)
         slack = rep.slackness[0]
         assert slack.value == 0.0
@@ -281,7 +281,7 @@ class TestCheckFoc:
         curve = cb.solve_boundary(coeffs, prod, scrap, mc=McConfig(n_paths=3000, seed=4))
         bad = BoundaryCurve(grid, curve.values * 1.2, curve.residual, curve.residual_se,
                             curve.solver_se, curve.iters, meta={})
-        batch = cb.simulate(coeffs, grid, 0, 8000, MEASURE_P, seed=5)
+        batch = cb.simulate(coeffs, 8000, MEASURE_P, seed=5)
         rep = check_foc(bad, [0.5 * bad.values[0]], coeffs, prod, scrap, batch)
         assert not rep.passed
 
@@ -291,7 +291,7 @@ class TestCheckFoc:
         prod = cb.CobbDouglas(0.25, 0.25, 0.25)
         scrap = cb.SaturatingExponential(0.5, 1.0)
         curve = cb.solve_boundary(coeffs, prod, scrap, mc=McConfig(n_paths=4000, seed=6))
-        batch = cb.simulate(coeffs, grid, 0, 12000, MEASURE_P, seed=7)
+        batch = cb.simulate(coeffs, 12000, MEASURE_P, seed=7)
         rep = check_foc(curve, [0.5 * curve.values[0], 2.0 * curve.values[0]],
                         coeffs, prod, scrap, batch)
         assert rep.passed
