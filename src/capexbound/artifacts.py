@@ -25,11 +25,12 @@ def _write_lines(path: str, lines: list) -> None:
 
 def write_boundary_csv(path: str, curve: BoundaryCurve, model_hash: str, seed: int) -> None:
     lines = [f"# model_hash={model_hash}", f"# seed={seed}",
-             "t,yhat,residual,residual_se,iters"]
+             "t,yhat,residual,residual_se,iters,solver_se,value_se"]
     t = curve.grid.nodes[:-1]
     for i in range(t.size):
         lines.append(",".join([fmt(t[i]), fmt(curve.values[i]), fmt(curve.residual[i]),
-                               fmt(curve.residual_se[i]), str(int(curve.iters[i]))]))
+                               fmt(curve.residual_se[i]), str(int(curve.iters[i])),
+                               fmt(curve.solver_se[i]), fmt(curve.value_se[i])]))
     _write_lines(path, lines)
 
 
@@ -45,18 +46,24 @@ class BoundaryFileError(ValueError):
 
 
 class BoundaryFile:
-    def __init__(self, t, yhat, residual, residual_se, iters, model_hash, seed):
+    def __init__(self, t, yhat, residual, residual_se, iters, solver_se, value_se,
+                 model_hash, seed):
         self.t = t
         self.yhat = yhat
         self.residual = residual
         self.residual_se = residual_se
         self.iters = iters
+        self.solver_se = solver_se
+        self.value_se = value_se
         self.model_hash = model_hash
         self.seed = seed
 
 
 def read_boundary_csv(path: str) -> BoundaryFile:
+    """The curve's columns; files older than ``solver_se`` and ``value_se``
+    read them as zeros."""
     meta = {}
+    header = []
     rows = []
     try:
         with open(path) as fh:
@@ -68,19 +75,21 @@ def read_boundary_csv(path: str) -> BoundaryFile:
                     key, _, val = line[1:].strip().partition("=")
                     meta[key.strip()] = val.strip()
                 elif line.startswith("t,"):
-                    continue
+                    header = line.split(",")
                 else:
                     rows.append(line.split(","))
         data = np.asarray(rows, dtype=float)
         t, yhat, residual, residual_se, iters = (data[:, k] for k in range(5))
+        solver_se, value_se = (data[:, header.index(name)] if name in header
+                               else np.zeros_like(t) for name in ("solver_se", "value_se"))
         seed = int(meta.get("seed", 0))
     except (OSError, ValueError, IndexError) as exc:
         raise BoundaryFileError(f"cannot read boundary file {path}: {exc}") from exc
     if not (np.all(np.isfinite(yhat) & (yhat > 0)) and np.all(np.isfinite(iters))):
         raise BoundaryFileError(f"{path}: boundary values must be positive and finite, "
                                 "iteration counts finite")
-    return BoundaryFile(t, yhat, residual, residual_se, iters.astype(int),
-                        meta.get("model_hash", ""), seed)
+    return BoundaryFile(t, yhat, residual, residual_se, iters.astype(int), solver_se,
+                        value_se, meta.get("model_hash", ""), seed)
 
 
 def write_controls_csv(path: str, grid: TimeGrid, plans, capacity: np.ndarray,

@@ -82,7 +82,7 @@ def _curve_from_file(path: str, cfg: RunConfig) -> BoundaryCurve:
     if bfile.t.size != cfg.grid.n_steps or not np.allclose(bfile.t, cfg.grid.nodes[:-1]):
         raise artifacts.BoundaryFileError("boundary file grid does not match the config grid")
     return BoundaryCurve(cfg.grid, bfile.yhat, bfile.residual, bfile.residual_se,
-                         np.zeros_like(bfile.yhat), bfile.iters, meta={"loaded": True})
+                         bfile.solver_se, bfile.iters, bfile.value_se, meta={"loaded": True})
 
 
 def cmd_solve(args) -> int:

@@ -16,12 +16,14 @@ import numpy as np
 
 from .boundary import McConfig, SolverConfig
 from .model import (
+    DISCOUNT_FLOOR,
     AssumptionError,
     CobbDouglas,
     CoefficientSet,
     SaturatingExponential,
     TimeGrid,
     ZeroScrap,
+    _central_differences,
     power_marginal,
 )
 from .verify import Lattice
@@ -32,8 +34,7 @@ class ConfigError(ValueError):
 
 
 _SECTIONS = {"grid", "coefficients", "production", "scrap", "tolerances", "mc", "lattice"}
-_COEFF_KEYS = {"mu_C", "sigma", "f_C", "mu_F", "w", "r", "f_C_prime", "eps_o", "bounds"}
-_BOUND_KEYS = {"k_f", "kappa_f", "k_w", "kappa_w", "k_r", "kappa_r"}
+_COEFF_KEYS = ("mu_C", "sigma", "f_C", "mu_F", "w", "r")
 _TOL_KEYS = {"tol_y", "tol_y_det", "cross_gap"}
 _MC_KEYS = {"paths", "seed", "antithetic"}
 _LATTICE_KEYS = {"y_min", "y_max", "nodes"}
@@ -70,12 +71,16 @@ class RunConfig:
     def model_hash(self) -> str:
         """Digest of the parsed model, so JSON spelling (1 vs 1.0) cannot change it."""
         c = self.coeffs
+        coefficients = {k: getattr(c, k).tolist() for k in _COEFF_KEYS}
+        # digesting f_C', eps_o and bounds at their former defaults keeps the
+        # hash of every existing boundary.csv, so simulate, verify and oracle
+        # still accept those files
+        coefficients["f_C_prime"] = _central_differences(c.grid.nodes, c.f_C).tolist()
         return _digest({
             "grid": self.grid.nodes.tolist(),
-            "coefficients": {k: getattr(c, k).tolist() for k in
-                             ("mu_C", "sigma", "f_C", "mu_F", "w", "r", "f_C_prime")},
-            "eps_o": c.eps_o,
-            "bounds": c.bounds,
+            "coefficients": coefficients,
+            "eps_o": DISCOUNT_FLOOR,
+            "bounds": {},
             "production": _spec_numbers(self.production),
             "scrap": _spec_numbers(self.scrap),
         })
@@ -116,23 +121,11 @@ def parse_config(raw: dict) -> RunConfig:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    _require_keys("coefficients", raw["coefficients"], _COEFF_KEYS,
-                  {"mu_C", "sigma", "f_C", "mu_F", "w", "r"})
-    csec = dict(raw["coefficients"])
-    bounds = csec.pop("bounds", None)
-    if bounds is not None:
-        _require_keys("coefficients.bounds", bounds, _BOUND_KEYS)
-        bounds = {k: _number("coefficients.bounds", k, v, float) for k, v in bounds.items()}
-    eps_o = _number("coefficients", "eps_o", csec.pop("eps_o", 1e-6), float)
-    f_C_prime = csec.pop("f_C_prime", None)
-    arrays = {}
-    for name in ("mu_C", "sigma", "f_C", "mu_F", "w", "r"):
-        arrays[name] = _coerce_function(name, csec[name], grid)
-    if f_C_prime is not None:
-        f_C_prime = _coerce_function("f_C_prime", f_C_prime, grid)
+    csec = raw["coefficients"]
+    _require_keys("coefficients", csec, set(_COEFF_KEYS), set(_COEFF_KEYS))
+    arrays = {name: _coerce_function(name, csec[name], grid) for name in _COEFF_KEYS}
     try:
-        coeffs = CoefficientSet.build(grid, f_C_prime=f_C_prime, eps_o=eps_o,
-                                      bounds=bounds, **arrays)
+        coeffs = CoefficientSet.build(grid, **arrays)
     except ValueError as exc:
         raise ConfigError(f"coefficients: {exc}") from exc
 
@@ -178,11 +171,12 @@ def checked_mc(n_paths: int, seed: int, antithetic: bool) -> McConfig:
 
 
 def _number(section: str, key: str, value, kind):
-    """``value`` as a finite ``kind``; float() passes NaN and infinity through
-    and int() truncates 2.7, so both are refused here."""
+    """``value`` as a finite ``kind``; float() passes NaN and infinity through,
+    int() truncates 2.7 and both take true and false, so all are refused here."""
     try:
         number = kind(value)
-        exact = math.isfinite(number) and (isinstance(value, str) or number == value)
+        exact = (not isinstance(value, bool) and math.isfinite(number)
+                 and (isinstance(value, str) or number == value))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{section}.{key}: expected a number, got {value!r}") from exc
     if not exact:
@@ -190,15 +184,19 @@ def _number(section: str, key: str, value, kind):
     return number
 
 
+def _is_number(value) -> bool:
+    """A JSON number; bool subclasses int, so true and false are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _coerce_function(name: str, spec, grid: TimeGrid):
-    if isinstance(spec, (int, float)):
+    if _is_number(spec):
         return float(spec)
-    if isinstance(spec, list):
-        arr = np.asarray(spec, dtype=float)
-        if arr.size != grid.nodes.size:
+    if isinstance(spec, list) and all(map(_is_number, spec)):
+        if len(spec) != grid.nodes.size:
             raise ConfigError(f"coefficients.{name}: expected {grid.nodes.size} node values, "
-                              f"got {arr.size}")
-        return arr
+                              f"got {len(spec)}")
+        return np.asarray(spec, dtype=float)
     raise ConfigError(f"coefficients.{name}: expected a number or node array")
 
 

@@ -10,10 +10,13 @@ these samples, so the grid is the single source of truth for time resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+
+# the standing assumptions' eps_o: mu_C + mu_F must stay at or above it
+DISCOUNT_FLOOR = 1e-6
 
 # Marginal-value sentinel used in bracketing comparisons when the Inada
 # condition makes the true value unbounded.  Never fed into products with
@@ -150,32 +153,22 @@ class CoefficientSet:
     mu_F: np.ndarray
     w: np.ndarray
     r: np.ndarray
-    f_C_prime: np.ndarray
-    eps_o: float = 1e-6
-    bounds: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("mu_C", "sigma", "f_C", "mu_F", "w", "r", "f_C_prime"):
+        for name in ("mu_C", "sigma", "f_C", "mu_F", "w", "r"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @classmethod
     def build(cls, grid: TimeGrid, *, mu_C: FunctionLike, sigma: FunctionLike,
-              f_C: FunctionLike, mu_F: FunctionLike, w: FunctionLike, r: FunctionLike,
-              f_C_prime: Optional[FunctionLike] = None, eps_o: float = 1e-6,
-              bounds: Optional[dict] = None) -> "CoefficientSet":
+              f_C: FunctionLike, mu_F: FunctionLike, w: FunctionLike,
+              r: FunctionLike) -> "CoefficientSet":
         arrs = {name: sample_on_grid(grid, spec)
                 for name, spec in (("mu_C", mu_C), ("sigma", sigma), ("f_C", f_C),
                                    ("mu_F", mu_F), ("w", w), ("r", r))}
         for name, vals in arrs.items():
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"non-finite values in coefficient '{name}'")
-        if f_C_prime is None:
-            fcp = _central_differences(grid.nodes, arrs["f_C"])
-        else:
-            fcp = sample_on_grid(grid, f_C_prime)
-        if not np.all(np.isfinite(fcp)):
-            raise ValueError("non-finite values in coefficient 'f_C_prime'")
-        return cls(grid=grid, f_C_prime=fcp, eps_o=eps_o, bounds=dict(bounds or {}), **arrs)
+        return cls(grid=grid, **arrs)
 
     @property
     def bar_mu(self) -> np.ndarray:
@@ -379,32 +372,19 @@ def validate(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec) -> 
             raise ValueError(f"non-finite values in coefficient '{name}'")
 
     checks = []
-    b = coeffs.bounds
 
-    ok = coeffs.f_C > 0
-    k_f, kap_f = b.get("k_f"), b.get("kappa_f")
-    if k_f is not None:
-        ok &= coeffs.f_C >= k_f
-    if kap_f is not None:
-        ok &= coeffs.f_C <= kap_f
-    ok &= (coeffs.mu_C >= 0) & (coeffs.sigma >= 0)
+    ok = (coeffs.f_C > 0) & (coeffs.mu_C >= 0) & (coeffs.sigma >= 0)
     checks.append(CheckResult("coefficient-bounds", bool(ok.all()),
-                              "f_C positive within bounds, mu_C and sigma nonnegative",
-                              _first_bad(ok)))
+                              "f_C positive, mu_C and sigma nonnegative", _first_bad(ok)))
 
     ok = (coeffs.w > 0) & (coeffs.r > 0)
-    for lo, hi, arr in (("k_w", "kappa_w", coeffs.w), ("k_r", "kappa_r", coeffs.r)):
-        if b.get(lo) is not None:
-            ok &= arr >= b[lo]
-        if b.get(hi) is not None:
-            ok &= arr <= b[hi]
     costs_ok = bool(ok.all())
-    checks.append(CheckResult("cost-functions", costs_ok,
-                              "wage and interest positive within bounds", _first_bad(ok)))
+    checks.append(CheckResult("cost-functions", costs_ok, "wage and interest positive",
+                              _first_bad(ok)))
 
-    ok = coeffs.bar_mu >= coeffs.eps_o
+    ok = coeffs.bar_mu >= DISCOUNT_FLOOR
     checks.append(CheckResult("discount-floor", bool(ok.all()),
-                              f"mu_C + mu_F >= {coeffs.eps_o:g}", _first_bad(ok)))
+                              f"mu_C + mu_F >= {DISCOUNT_FLOOR:g}", _first_bad(ok)))
 
     prod_ok, prod_detail = _check_production(prod)
     checks.append(CheckResult("production", prod_ok, prod_detail))
@@ -451,8 +431,10 @@ def _check_scrap(scrap, coeffs) -> tuple[bool, str]:
 
 def _check_efficiency(coeffs, prod, scrap, production_mod, costs_ok: bool):
     parts = [("sigma^2 <= mu_C", coeffs.sigma_sq <= coeffs.mu_C + 1e-15)]
+    # f_C is piecewise linear between its samples, so they determine f_C'
+    f_C_prime = _central_differences(coeffs.grid.nodes, coeffs.f_C)
     with np.errstate(divide="ignore", invalid="ignore"):
-        decay = -coeffs.f_C_prime / coeffs.f_C
+        decay = -f_C_prime / coeffs.f_C
     parts.append(("bar_mu <= -f_C'/f_C", coeffs.bar_mu <= decay + 1e-12))
 
     probe = np.geomspace(1e-2, 1e2, 17)

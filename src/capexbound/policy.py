@@ -53,9 +53,9 @@ def build_controls(curve: BoundaryCurve, batch: PathBatch, y: float,
     if y <= 0:
         raise ValueError("initial capacity must be positive")
     sup = running_sup_matrix(batch.values, curve.values)
+    # sup is a running maximum, so the ledger is already non-decreasing
     nubar = np.concatenate([np.zeros((batch.values.shape[0], 1)),
                             np.maximum(sup - y, 0.0)], axis=1)
-    np.maximum.accumulate(nubar, axis=1, out=nubar)
     nu = _expenditure_from_additions(coeffs, batch.values, nubar)
     return PlanBatch(y, nubar, nu)
 

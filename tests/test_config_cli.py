@@ -8,6 +8,7 @@ import pytest
 
 from capexbound import cli
 from capexbound.artifacts import read_boundary_csv, write_boundary_csv, fmt
+from capexbound.boundary import solve_boundary
 from capexbound.config import ConfigError, load_config, parse_config
 
 
@@ -100,6 +101,18 @@ class TestBoundaryCsv:
         assert np.array_equal(back.residual, curve.residual)
         assert back.model_hash == "abc123"
         assert back.seed == 9
+
+    def test_solved_file_carries_the_solver_uncertainty(self, tmp_path):
+        path = write_cfg(tmp_path, README_MODEL)
+        out = str(tmp_path / "run")
+        assert cli.main(["solve", "--config", path, "--out", out]) == 0
+        cfg = load_config(path)
+        solved = solve_boundary(cfg.coeffs, cfg.production, cfg.scrap, mc=cfg.mc,
+                                solver=cfg.solver)
+        loaded = cli._curve_from_file(os.path.join(out, "boundary.csv"), cfg)
+        assert np.all(solved.value_se > 0)
+        assert np.array_equal(loaded.value_se, solved.value_se)
+        assert np.array_equal(loaded.solver_se, solved.solver_se)
 
     def test_fmt_17_digits_round_trip(self):
         x = 1.0 / 3.0

@@ -127,6 +127,14 @@ class TestBadConfig:
         ("mc", "antithetic", "false"),
         ("mc", "paths", 2.7),
         ("grid", "N", 10.9),
+        # a JSON boolean is not a number, and a coefficient array holds numbers only
+        ("coefficients", "sigma", False),
+        ("grid", "T", True),
+        ("mc", "paths", True),
+        ("tolerances", "tol_y", True),
+        ("scrap", "a", True),
+        ("production", "alpha", True),
+        ("coefficients", "mu_C", ["x"] * 5),
     ])
     def test_exits_2(self, tmp_path, section, key, value):
         bad = copy.deepcopy(SMALL)
@@ -137,6 +145,15 @@ class TestBadConfig:
         cfg = write_cfg(tmp_path, bad)
         assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert cli.main(["oracle", "--config", cfg, "--out", str(tmp_path / "p")]) == 2
+
+    # the removed coefficient settings are unknown keys, even at valid values
+    @pytest.mark.parametrize("key,value", [("eps_o", 1e-6), ("bounds", {}), ("f_C_prime", 0.0)])
+    def test_removed_coefficient_keys_are_named(self, tmp_path, capsys, key, value):
+        bad = copy.deepcopy(SMALL)
+        bad["coefficients"][key] = value
+        cfg = write_cfg(tmp_path, bad)
+        assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
 
     def test_out_of_range_command_line_overrides_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL)
