@@ -29,8 +29,9 @@ from .boundary import (
 )
 from .config import ConfigError, RunConfig, checked_mc, load_config
 from .model import AssumptionError, validate
-from .paths import MEASURE_P, simulate
-from .policy import build_controls, constant_rate_plan, controlled_capacity, profit, zero_plan
+from .paths import MEASURE_P, row_blocks, simulate
+from .policy import (PlanBatch, ProfitEstimate, build_controls, constant_rate_plan,
+                     controlled_capacity, profit, zero_plan)
 from .verify import (
     Lattice,
     LatticeRangeError,
@@ -58,12 +59,18 @@ def _setup_logging():
 
 
 @contextlib.contextmanager
-def _stage(timings: dict, command: str, name: str):
-    """Record the wall time of one stage as ``timings[name + "_s"]`` and log it."""
+def _stage(timings: dict, name: str):
+    """Add the wall time of the block to ``timings[name + "_s"]``, so a stage
+    run once per row block reports its total."""
     t0 = time.perf_counter()
     yield
-    timings[f"{name}_s"] = elapsed = time.perf_counter() - t0
-    log.info("%s: %s took %.3f s", command, name, elapsed)
+    key = f"{name}_s"
+    timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
+
+
+def _log_stages(command: str, timings: dict) -> None:
+    for key, seconds in timings.items():
+        log.info("%s: %s took %.3f s", command, key[:-2], seconds)
 
 
 def _mc(cfg: RunConfig, args) -> McConfig:
@@ -130,33 +137,48 @@ def cmd_simulate(args) -> int:
     artifacts.ensure_dir(args.out)
     timings = {}
     t0 = time.perf_counter()
-    with _stage(timings, "simulate", "paths"):
+    with _stage(timings, "paths"):
         batch = simulate(cfg.coeffs, mc.n_paths, MEASURE_P, mc.seed, mc.antithetic)
-    with _stage(timings, "simulate", "controls"):
-        plans = build_controls(curve, batch, args.y, cfg.coeffs)
-        cap = controlled_capacity(batch.values, plans)
-    with _stage(timings, "simulate", "profit"):
-        j_opt = profit(cfg.coeffs, cfg.production, cfg.scrap, batch, plans)
-        plans0 = zero_plan(batch, args.y)
-        j_zero = profit(cfg.coeffs, cfg.production, cfg.scrap, batch, plans0)
-        rate = float(np.mean(plans.nu[:, -1])) / cfg.grid.horizon
-        plans_c = constant_rate_plan(cfg.coeffs, batch, args.y, rate)
-        j_const = profit(cfg.coeffs, cfg.production, cfg.scrap, batch, plans_c)
-    timings["simulate_s"] = time.perf_counter() - t0
-    log.info("simulate: J(opt) %.6g (se %.3g), J(0) %.6g (se %.3g), J(const) %.6g (se %.3g)",
-             j_opt.mean, j_opt.se, j_zero.mean, j_zero.se, j_const.mean, j_const.se)
     # the files list min(limit, paths) rows, paths rounded up to even when
     # antithetic as sample_decay draws them; a volatility-free batch holds one
     # row for every path, repeated here as a read-only view
     rows = min(args.dump_limit, 2 * ((mc.n_paths + 1) // 2) if mc.antithetic else mc.n_paths)
+    # pass 1: the tracking plan and the zero plan; the constant-rate plan
+    # needs the mean spending of the whole batch, so it takes pass 2
+    j_opt, j_zero, spent, jumps, kept = [], [], [], [], []
+    done = 0
+    for block in row_blocks(batch):
+        with _stage(timings, "controls"):
+            plans = build_controls(curve, block, args.y, cfg.coeffs)
+            cap = controlled_capacity(block.values, plans)
+        with _stage(timings, "profit"):
+            j_opt.append(profit(cfg.coeffs, cfg.production, cfg.scrap, block, plans))
+            j_zero.append(profit(cfg.coeffs, cfg.production, cfg.scrap, block,
+                                 zero_plan(block, args.y)))
+        # copies, so that no view keeps a block's matrices alive
+        spent.append(plans.nu[:, -1].copy())
+        jumps.append(plans.nubar[:, 1].copy())
+        kept.append([a[:max(rows - done, 0)].copy() for a in (plans.nubar, plans.nu, cap)])
+        done += block.n_paths
+    rate = float(np.mean(np.concatenate(spent))) / cfg.grid.horizon
+    j_const = []
+    for block in row_blocks(batch):
+        with _stage(timings, "profit"):
+            j_const.append(profit(cfg.coeffs, cfg.production, cfg.scrap, block,
+                                  constant_rate_plan(cfg.coeffs, block, args.y, rate)))
+    j_opt, j_zero, j_const = map(ProfitEstimate.concat, (j_opt, j_zero, j_const))
+    _log_stages("simulate", timings)
+    timings["simulate_s"] = time.perf_counter() - t0
+    log.info("simulate: J(opt) %.6g (se %.3g), J(0) %.6g (se %.3g), J(const) %.6g (se %.3g)",
+             j_opt.mean, j_opt.se, j_zero.mean, j_zero.se, j_const.mean, j_const.se)
 
     def dump(a):
         return np.broadcast_to(a[:rows], (rows, a.shape[1]))
 
+    nubar, nu, cap = (np.concatenate(columns) for columns in zip(*kept))
     artifacts.write_controls_csv(
         os.path.join(args.out, "controls.csv"), cfg.grid,
-        dataclasses.replace(plans, nubar=dump(plans.nubar), nu=dump(plans.nu)), dump(cap),
-        limit=rows)
+        PlanBatch(args.y, dump(nubar), dump(nu)), dump(cap), limit=rows)
     outputs = ["controls.csv"]
     if args.dump_paths:
         artifacts.write_paths_csv(os.path.join(args.out, "paths.csv"), cfg.grid,
@@ -177,7 +199,7 @@ def cmd_simulate(args) -> int:
             "J_zero": j_zero.mean, "J_zero_se": j_zero.se,
             "J_const_rate": j_const.mean, "J_const_rate_se": j_const.se,
             "benchmark_rate": rate,
-            "mean_initial_jump": float(np.mean(plans.nubar[:, 1])),
+            "mean_initial_jump": float(np.mean(np.concatenate(jumps))),
         },
     })
     print(f"J(opt) = {j_opt.mean:.6g} (se {j_opt.se:.3g}); "
@@ -202,19 +224,20 @@ def cmd_verify(args) -> int:
     report = validate(cfg.coeffs, cfg.production, cfg.scrap)
     timings = {}
     t0 = time.perf_counter()
-    with _stage(timings, "verify", "foc"):
+    with _stage(timings, "foc"):
         batch = simulate(cfg.coeffs, mc.n_paths, MEASURE_P, mc.seed + 1, mc.antithetic)
         y0 = float(curve.values[0])
         y_list = args.y if args.y else [0.5 * y0, 2.0 * y0]
         foc = check_foc(curve, y_list, cfg.coeffs, cfg.production, cfg.scrap, batch)
-    with _stage(timings, "verify", "stopping_dp"):
+    with _stage(timings, "stopping_dp"):
         lattice = _default_lattice(cfg, curve)
         sdp = dp_stopping_value(cfg.coeffs, cfg.production, cfg.scrap, lattice)
-    with _stage(timings, "verify", "cross"):
+    with _stage(timings, "cross"):
         cross = cross_validate(curve, sdp)
         inv_f = 1.0 / cfg.coeffs.f_C[:-1]
         v_bounded = bool(np.all(sdp.v[:-1] <= inv_f[:, None] * (1 + 1e-9)))
         v_monotone = bool(np.all(np.diff(sdp.v, axis=1) <= 1e-9))
+    _log_stages("verify", timings)
     timings["verify_s"] = time.perf_counter() - t0
     hard_pass = foc.passed and cross.sup_rel_gap <= cfg.cross_gap and v_bounded and v_monotone
     payload = {
@@ -255,11 +278,12 @@ def cmd_oracle(args) -> int:
         raise ConfigError("oracle needs a lattice section or a boundary file")
     timings = {}
     t0 = time.perf_counter()
-    with _stage(timings, "oracle", "stopping_dp"):
+    with _stage(timings, "stopping_dp"):
         sdp = dp_stopping_value(cfg.coeffs, cfg.production, cfg.scrap, lattice)
-    with _stage(timings, "oracle", "value_dp"):
+    with _stage(timings, "value_dp"):
         vdp = dp_value(cfg.coeffs, cfg.production, cfg.scrap, lattice)
     gap, _ = shadow_value_gap(vdp, sdp)
+    _log_stages("oracle", timings)
     timings["oracle_s"] = time.perf_counter() - t0
     out_csv = os.path.join(args.out, "dp_boundary.csv")
     artifacts.write_dp_boundary_csv(out_csv, cfg.grid, sdp.boundary, vdp.boundary)

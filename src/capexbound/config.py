@@ -171,14 +171,16 @@ def checked_mc(n_paths: int, seed: int, antithetic: bool) -> McConfig:
 
 
 def _number(section: str, key: str, value, kind):
-    """``value`` as a finite ``kind``; float() passes NaN and infinity through,
-    int() truncates 2.7 and both take true and false, so all are refused here."""
+    """``value`` as a finite ``kind``.  Only a JSON number that converts
+    exactly is one: float() would take the string "1.0" and pass NaN and
+    infinity through, int() would truncate 2.7, so all are refused here."""
+    if not _is_number(value):
+        raise ConfigError(f"{section}.{key}: expected a number, got {value!r}")
     try:
         number = kind(value)
-        exact = (not isinstance(value, bool) and math.isfinite(number)
-                 and (isinstance(value, str) or number == value))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{section}.{key}: expected a number, got {value!r}") from exc
+        exact = math.isfinite(number) and number == value
+    except (ValueError, OverflowError):  # NaN or infinity to int, a huge integer to float
+        exact = False
     if not exact:
         raise ConfigError(f"{section}.{key}: expected a finite {kind.__name__}, got {value!r}")
     return number
@@ -190,13 +192,16 @@ def _is_number(value) -> bool:
 
 
 def _coerce_function(name: str, spec, grid: TimeGrid):
-    if _is_number(spec):
-        return float(spec)
-    if isinstance(spec, list) and all(map(_is_number, spec)):
-        if len(spec) != grid.nodes.size:
-            raise ConfigError(f"coefficients.{name}: expected {grid.nodes.size} node values, "
-                              f"got {len(spec)}")
-        return np.asarray(spec, dtype=float)
+    try:
+        if _is_number(spec):
+            return float(spec)
+        if isinstance(spec, list) and all(map(_is_number, spec)):
+            if len(spec) != grid.nodes.size:
+                raise ConfigError(f"coefficients.{name}: expected {grid.nodes.size} node "
+                                  f"values, got {len(spec)}")
+            return np.asarray(spec, dtype=float)
+    except OverflowError as exc:  # an integer literal beyond the doubles
+        raise ConfigError(f"coefficients.{name}: {exc}") from exc
     raise ConfigError(f"coefficients.{name}: expected a number or node array")
 
 

@@ -15,6 +15,7 @@ a later node are the column slice from that node, rescaled to start at one.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,12 @@ MEASURE_P = "P"
 MEASURE_Q = "Q"
 
 _PURPOSE_TAGS = {"simulate": 1, "solve": 2, "audit": 3}
+
+# rows per block of the per-path work after a batch is drawn (controls,
+# profits, first-order conditions), so its temporaries do not grow with the
+# path count.  A power of two starts every block on a row group of the BLAS
+# matrix-vector kernel, so a row's product keeps its last bit.
+BLOCK_ROWS = 2048
 
 
 def log_increment_moments(coeffs: CoefficientSet, measure: str):
@@ -73,6 +80,19 @@ class PathBatch:
         return self.values.shape[0]
 
 
+def row_blocks(batch: PathBatch):
+    """Row-slice views of ``batch``, in order, with at most BLOCK_ROWS rows
+    each, except that a lone last row joins the block before it: numpy takes
+    a one-row matrix-vector product to a dot kernel that rounds differently.
+
+    A block is no batch of its own: with ``antithetic`` row k pairs with row
+    k + P/2, so estimates come from its per-path values once concatenated.
+    """
+    starts = range(0, max(batch.n_paths - 1, 1), BLOCK_ROWS)
+    for lo, hi in zip(starts, [*starts[1:], batch.n_paths]):
+        yield dataclasses.replace(batch, values=batch.values[lo:hi])
+
+
 def pair_means(per_path: np.ndarray, antithetic: bool) -> np.ndarray:
     """Average the two halves of an antithetic batch; identity otherwise.
 
@@ -98,9 +118,15 @@ def mean_and_se(per_path: np.ndarray, antithetic: bool) -> tuple[float, float]:
 def values_from_normals(coeffs: CoefficientSet, normals: np.ndarray, measure: str) -> np.ndarray:
     """Decay-factor matrix from standard normal step draws (exact stepping)."""
     mean, var = log_increment_moments(coeffs, measure)
-    log_steps = mean[None, :] + np.sqrt(var)[None, :] * normals
-    logs = np.concatenate([np.zeros((normals.shape[0], 1)), np.cumsum(log_steps, axis=1)], axis=1)
-    return np.exp(logs)
+    # one buffer: column 0 is log 1, the others take the steps, their running
+    # sums and then the exponential in place
+    out = np.empty((normals.shape[0], normals.shape[1] + 1))
+    out[:, 0] = 0.0
+    steps = out[:, 1:]
+    np.multiply(np.sqrt(var), normals, out=steps)
+    np.add(mean, steps, out=steps)
+    np.cumsum(steps, axis=1, out=steps)
+    return np.exp(out, out=out)
 
 
 def sample_decay(coeffs: CoefficientSet, n: int, measure: str, seed: int, purpose: str,
@@ -116,8 +142,10 @@ def sample_decay(coeffs: CoefficientSet, n: int, measure: str, seed: int, purpos
     if coeffs.is_sigma_zero():
         normals = np.zeros((1, m))
     elif antithetic:
-        z = gaussian_matrix(seed, purpose, ((n + 1) // 2, m))
-        normals = np.concatenate([z, -z], axis=0)
+        h = (n + 1) // 2
+        normals = np.empty((2 * h, m))
+        normals[:h] = gaussian_matrix(seed, purpose, (h, m))
+        np.negative(normals[:h], out=normals[h:])
     else:
         normals = gaussian_matrix(seed, purpose, (n, m))
     return values_from_normals(coeffs, normals, measure)

@@ -10,6 +10,7 @@ convention, so an initial jump is booked at the first step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,9 +68,31 @@ def controlled_capacity(path_values: np.ndarray, plan) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProfitEstimate:
-    mean: float
-    se: float
-    per_path: np.ndarray = field(repr=False, default=None)
+    """Per-path values of one plan, with their mean and its standard error.
+
+    The two are taken over the antithetic pairs of the whole vector when
+    first read, so the estimates of a batch's row blocks are read only once
+    joined by ``concat``.
+    """
+
+    per_path: np.ndarray = field(repr=False)
+    antithetic: bool
+
+    @classmethod
+    def concat(cls, blocks: list) -> "ProfitEstimate":
+        return cls(np.concatenate([b.per_path for b in blocks]), blocks[0].antithetic)
+
+    @cached_property
+    def _mean_se(self) -> tuple[float, float]:
+        return mean_and_se(self.per_path, self.antithetic)
+
+    @property
+    def mean(self) -> float:
+        return self._mean_se[0]
+
+    @property
+    def se(self) -> float:
+        return self._mean_se[1]
 
 
 def profit(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
@@ -79,7 +102,8 @@ def profit(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
     Per-path value: discounted running profit at the controlled capacity
     accumulated with left-frozen integrands and exact per-step discount
     masses, plus discounted scrap at the horizon, minus the discounted
-    expenditure increments.
+    expenditure increments.  On a row block of a batch, read the estimate
+    only after joining the blocks' estimates with ``ProfitEstimate.concat``.
     """
     if batch.measure != MEASURE_P:
         raise ValueError("profit expects paths under the physical measure")
@@ -87,20 +111,18 @@ def profit(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
         raise ValueError("plan and path batch have mismatched shapes")
     grid = batch.grid
     n = grid.n_steps
-    cap = controlled_capacity(batch.values, plans)
     masses, terminal = discount_step_masses(grid, coeffs.mu_F, 0)
     # the capacity prevailing on each open step interval includes the action
     # booked at its left node, hence the shifted ledger column
     cap_step = batch.values[:, :-1] * (plans.y + plans.nubar[:, 1:])
     vals = reduced_value_array(prod, cap_step, coeffs.w[:n], coeffs.r[:n])
     running = vals @ masses
-    scrap_term = terminal * np.asarray(scrap.value(cap[:, -1]), dtype=float)
+    cap_end = batch.values[:, -1] * (plans.y + plans.nubar[:, -1])
+    scrap_term = terminal * np.asarray(scrap.value(cap_end), dtype=float)
     cum_f = cumulative_integral(grid, coeffs.mu_F)
     disc_nodes = np.exp(-cum_f[:n])
     spend = np.diff(plans.nu, axis=1) @ disc_nodes
-    per_path = running + scrap_term - spend
-    mean, se = mean_and_se(per_path, batch.antithetic)
-    return ProfitEstimate(mean, se, per_path)
+    return ProfitEstimate(running + scrap_term - spend, batch.antithetic)
 
 
 def zero_plan(batch, y: float) -> PlanBatch:

@@ -33,7 +33,8 @@ from .model import (
     discount_step_masses,
     step_discounts,
 )
-from .paths import MEASURE_P, MEASURE_Q, PathBatch, log_increment_moments, mean_and_se
+from .paths import (MEASURE_P, MEASURE_Q, PathBatch, log_increment_moments, mean_and_se,
+                    row_blocks)
 from .policy import build_controls, controlled_capacity
 from .production import reduced_marginal_array, reduced_value_array
 
@@ -283,7 +284,8 @@ class StoppingRule:
 
 
 class _FocWorkspace:
-    """Per-path supergradient integrand at every node, for one initial level.
+    """Per-path supergradient integrand at every node, for one initial level
+    and one row block of paths.
 
     The tail sums reuse the boundary solver's step masses through an exact
     change-of-measure identity, so a path sitting on the boundary at a node
@@ -296,7 +298,6 @@ class _FocWorkspace:
             raise ValueError("first-order conditions are evaluated under the physical measure")
         grid = batch.grid
         n = grid.n_steps
-        self.batch = batch
         self.plans = build_controls(curve, batch, y, coeffs)
         self.capacity = controlled_capacity(batch.values, self.plans)
         cum_c = cumulative_integral(grid, coeffs.mu_C)
@@ -321,19 +322,16 @@ class _FocWorkspace:
                               * (suffix[:, :n] + own_step) / mart[:, :n]
                               - disc_f[None, :n])
 
-    def estimate(self, rule: StoppingRule) -> tuple[float, float]:
+    def rule_values(self, rule: StoppingRule) -> np.ndarray:
+        """Per path, the integrand at the rule's stopping node (0 at the horizon)."""
         idx = rule.indices(self.capacity, self.plans.nubar)
         n = self.capacity.shape[1] - 1
         rows = np.arange(idx.size)
-        vals = np.where(idx < n,
-                        self.integrand[rows, np.minimum(idx, n - 1)],
-                        0.0)
-        return mean_and_se(vals, self.batch.antithetic)
+        return np.where(idx < n, self.integrand[rows, np.minimum(idx, n - 1)], 0.0)
 
-    def slackness(self) -> tuple[float, float]:
-        spend_inc = np.diff(self.plans.nu, axis=1)
-        vals = np.sum(self.integrand * spend_inc, axis=1)
-        return mean_and_se(vals, self.batch.antithetic)
+    def slackness_values(self) -> np.ndarray:
+        """Per path, the integrand summed against the plan's spending increments."""
+        return np.sum(self.integrand * np.diff(self.plans.nu, axis=1), axis=1)
 
 
 @dataclass(frozen=True)
@@ -410,13 +408,20 @@ def check_foc(curve: BoundaryCurve, y_list: Sequence[float], coeffs: Coefficient
     integral within 2 standard errors of zero for the report to pass.
     """
     rules = default_rule_family(curve) if rules is None else rules
+    levels = [float(y) for y in y_list]
+    # per level, the per-path values of each rule and then of the slackness,
+    # one vector per row block; blocks are joined before any mean is taken
+    parts = [[[] for _ in range(len(rules) + 1)] for _ in levels]
+    for block in row_blocks(batch):
+        for y, columns in zip(levels, parts):
+            ws = _FocWorkspace(curve, y, coeffs, prod, scrap, block)
+            for rule, column in zip(rules, columns):
+                column.append(ws.rule_values(rule))
+            columns[-1].append(ws.slackness_values())
     entries = []
     slack = []
-    for y in y_list:
-        ws = _FocWorkspace(curve, float(y), coeffs, prod, scrap, batch)
-        for rule in rules:
-            est, se = ws.estimate(rule)
-            entries.append(FOCEntry(float(y), rule.name, est, se))
-        sv, sse = ws.slackness()
-        slack.append(SlackEntry(float(y), sv, sse))
+    for y, columns in zip(levels, parts):
+        stats = [mean_and_se(np.concatenate(column), batch.antithetic) for column in columns]
+        entries += [FOCEntry(y, rule.name, *stat) for rule, stat in zip(rules, stats)]
+        slack.append(SlackEntry(y, *stats[-1]))
     return FOCReport(tuple(entries), tuple(slack))

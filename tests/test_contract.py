@@ -15,6 +15,8 @@ from capexbound import cli
 from capexbound.config import parse_config
 
 CONTRACT_EXITS = {0, 2, 3, 4, 5, 6}
+# a JSON integer literal beyond the double range
+HUGE = 10 ** 400
 
 SMALL = {
     "grid": {"T": 1.0, "N": 4},
@@ -135,6 +137,13 @@ class TestBadConfig:
         ("scrap", "a", True),
         ("production", "alpha", True),
         ("coefficients", "mu_C", ["x"] * 5),
+        # a JSON string is not a number either, and an integer literal beyond
+        # the doubles is no finite float
+        ("grid", "T", "1.0"),
+        ("mc", "paths", "16"),
+        pytest.param("coefficients", "mu_C", HUGE, id="coefficients-mu_C-huge"),
+        pytest.param("coefficients", "mu_C", [0.05] * 4 + [HUGE], id="coefficients-mu_C-[huge]"),
+        pytest.param("grid", "T", HUGE, id="grid-T-huge"),
     ])
     def test_exits_2(self, tmp_path, section, key, value):
         bad = copy.deepcopy(SMALL)
@@ -145,6 +154,19 @@ class TestBadConfig:
         cfg = write_cfg(tmp_path, bad)
         assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert cli.main(["oracle", "--config", cfg, "--out", str(tmp_path / "p")]) == 2
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("grid", "T", "1.0"),
+        ("mc", "paths", "16"),
+        pytest.param("coefficients", "mu_C", HUGE, id="coefficients-mu_C-huge"),
+        pytest.param("coefficients", "mu_C", [0.05] * 4 + [HUGE], id="coefficients-mu_C-[huge]"),
+    ])
+    def test_bad_numbers_are_named(self, tmp_path, capsys, section, key, value):
+        bad = copy.deepcopy(SMALL)
+        bad[section][key] = value
+        cfg = write_cfg(tmp_path, bad)
+        assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {section}.{key}: " in capsys.readouterr().err
 
     # the removed coefficient settings are unknown keys, even at valid values
     @pytest.mark.parametrize("key,value", [("eps_o", 1e-6), ("bounds", {}), ("f_C_prime", 0.0)])
