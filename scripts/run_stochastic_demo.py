@@ -53,10 +53,12 @@ def main():
 
     y = 0.5 * y0
     plans = cb.build_controls(curve, batch, y, coeffs)
-    j_opt = cb.profit(coeffs, prod, scrap, batch, plans)
-    j_zero = cb.profit(coeffs, prod, scrap, batch, cb.zero_plan(batch, y))
-    print(f"J(tracking) = {j_opt.mean:.5g} (se {j_opt.se:.2g}); "
-          f"J(no investment) = {j_zero.mean:.5g}")
+    j_opt, j_opt_se = cb.mean_and_se(cb.profit(coeffs, prod, scrap, batch, plans),
+                                     batch.antithetic)
+    j_zero, _ = cb.mean_and_se(cb.profit(coeffs, prod, scrap, batch, cb.zero_plan(batch, y)),
+                               batch.antithetic)
+    print(f"J(tracking) = {j_opt:.5g} (se {j_opt_se:.2g}); "
+          f"J(no investment) = {j_zero:.5g}")
 
 
 if __name__ == "__main__":

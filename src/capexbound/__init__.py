@@ -32,6 +32,7 @@ from .paths import (
     MEASURE_P,
     MEASURE_Q,
     PathBatch,
+    mean_and_se,
     simulate,
 )
 from .policy import (

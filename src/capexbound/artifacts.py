@@ -6,6 +6,7 @@ seeds and flags, never on timing or worker count.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -115,17 +116,22 @@ def write_paths_csv(path: str, grid: TimeGrid, batch, limit: int = 100) -> None:
 
 
 def write_manifest(path: str, manifest: dict) -> None:
+    """Strict JSON: a non-finite float is written as null."""
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(_jsonable(manifest), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _jsonable(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(val) for val in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def ensure_dir(path: str) -> None:

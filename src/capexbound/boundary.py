@@ -149,7 +149,7 @@ class _NodeResidual:
         args = self.decay * sup
         marg = reduced_marginal_array(self.prod, args[:, : self.m], self.w_row[: self.m], self.r_row[: self.m])
         tail = self.terminal * np.asarray(self.scrap.marginal(args[:, self.m]), dtype=float)
-        return marg @ self.masses + tail
+        return np.einsum("pn,n->p", marg, self.masses) + tail
 
     def __call__(self, candidate: float) -> tuple[float, float]:
         if candidate <= 0:

@@ -29,9 +29,9 @@ from .boundary import (
 )
 from .config import ConfigError, RunConfig, checked_mc, load_config
 from .model import AssumptionError, validate
-from .paths import MEASURE_P, row_blocks, simulate
-from .policy import (PlanBatch, ProfitEstimate, build_controls, constant_rate_plan,
-                     controlled_capacity, profit, zero_plan)
+from .paths import MEASURE_P, mean_and_se, row_blocks, simulate
+from .policy import (PlanBatch, build_controls, constant_rate_plan, controlled_capacity, profit,
+                     zero_plan)
 from .verify import (
     Lattice,
     LatticeRangeError,
@@ -145,12 +145,10 @@ def cmd_simulate(args) -> int:
     rows = min(args.dump_limit, 2 * ((mc.n_paths + 1) // 2) if mc.antithetic else mc.n_paths)
     # pass 1: the tracking plan and the zero plan; the constant-rate plan
     # needs the mean spending of the whole batch, so it takes pass 2
-    j_opt, j_zero, spent, jumps, kept = [], [], [], [], []
-    done = 0
+    j_opt, j_zero, spent, jumps = [], [], [], []
     for block in row_blocks(batch):
         with _stage(timings, "controls"):
             plans = build_controls(curve, block, args.y, cfg.coeffs)
-            cap = controlled_capacity(block.values, plans)
         with _stage(timings, "profit"):
             j_opt.append(profit(cfg.coeffs, cfg.production, cfg.scrap, block, plans))
             j_zero.append(profit(cfg.coeffs, cfg.production, cfg.scrap, block,
@@ -158,27 +156,31 @@ def cmd_simulate(args) -> int:
         # copies, so that no view keeps a block's matrices alive
         spent.append(plans.nu[:, -1].copy())
         jumps.append(plans.nubar[:, 1].copy())
-        kept.append([a[:max(rows - done, 0)].copy() for a in (plans.nubar, plans.nu, cap)])
-        done += block.n_paths
     rate = float(np.mean(np.concatenate(spent))) / cfg.grid.horizon
     j_const = []
     for block in row_blocks(batch):
         with _stage(timings, "profit"):
             j_const.append(profit(cfg.coeffs, cfg.production, cfg.scrap, block,
                                   constant_rate_plan(cfg.coeffs, block, args.y, rate)))
-    j_opt, j_zero, j_const = map(ProfitEstimate.concat, (j_opt, j_zero, j_const))
+    # a plan is per path, so the listed rows' plans are built again alone
+    listed = dataclasses.replace(batch, values=batch.values[:rows])
+    with _stage(timings, "controls"):
+        plans = build_controls(curve, listed, args.y, cfg.coeffs)
+        cap = controlled_capacity(listed.values, plans)
     _log_stages("simulate", timings)
     timings["simulate_s"] = time.perf_counter() - t0
+    j = {}
+    for key, values in (("J_opt", j_opt), ("J_zero", j_zero), ("J_const_rate", j_const)):
+        j[key], j[key + "_se"] = mean_and_se(np.concatenate(values), batch.antithetic)
     log.info("simulate: J(opt) %.6g (se %.3g), J(0) %.6g (se %.3g), J(const) %.6g (se %.3g)",
-             j_opt.mean, j_opt.se, j_zero.mean, j_zero.se, j_const.mean, j_const.se)
+             *j.values())
 
     def dump(a):
         return np.broadcast_to(a[:rows], (rows, a.shape[1]))
 
-    nubar, nu, cap = (np.concatenate(columns) for columns in zip(*kept))
     artifacts.write_controls_csv(
         os.path.join(args.out, "controls.csv"), cfg.grid,
-        PlanBatch(args.y, dump(nubar), dump(nu)), dump(cap), limit=rows)
+        PlanBatch(args.y, dump(plans.nubar), dump(plans.nu)), dump(cap), limit=rows)
     outputs = ["controls.csv"]
     if args.dump_paths:
         artifacts.write_paths_csv(os.path.join(args.out, "paths.csv"), cfg.grid,
@@ -195,15 +197,13 @@ def cmd_simulate(args) -> int:
         "timings": timings,
         "outputs": outputs,
         "summary": {
-            "J_opt": j_opt.mean, "J_opt_se": j_opt.se,
-            "J_zero": j_zero.mean, "J_zero_se": j_zero.se,
-            "J_const_rate": j_const.mean, "J_const_rate_se": j_const.se,
+            **j,
             "benchmark_rate": rate,
             "mean_initial_jump": float(np.mean(np.concatenate(jumps))),
         },
     })
-    print(f"J(opt) = {j_opt.mean:.6g} (se {j_opt.se:.3g}); "
-          f"J(0) = {j_zero.mean:.6g}; J(const) = {j_const.mean:.6g}")
+    print(f"J(opt) = {j['J_opt']:.6g} (se {j['J_opt_se']:.3g}); "
+          f"J(0) = {j['J_zero']:.6g}; J(const) = {j['J_const_rate']:.6g}")
     return EXIT_OK
 
 

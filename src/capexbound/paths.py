@@ -29,8 +29,7 @@ _PURPOSE_TAGS = {"simulate": 1, "solve": 2, "audit": 3}
 
 # rows per block of the per-path work after a batch is drawn (controls,
 # profits, first-order conditions), so its temporaries do not grow with the
-# path count.  A power of two starts every block on a row group of the BLAS
-# matrix-vector kernel, so a row's product keeps its last bit.
+# path count
 BLOCK_ROWS = 2048
 
 
@@ -81,16 +80,14 @@ class PathBatch:
 
 
 def row_blocks(batch: PathBatch):
-    """Row-slice views of ``batch``, in order, with at most BLOCK_ROWS rows
-    each, except that a lone last row joins the block before it: numpy takes
-    a one-row matrix-vector product to a dot kernel that rounds differently.
+    """Row-slice views of ``batch``, in order, with BLOCK_ROWS rows each but
+    the last.
 
     A block is no batch of its own: with ``antithetic`` row k pairs with row
     k + P/2, so estimates come from its per-path values once concatenated.
     """
-    starts = range(0, max(batch.n_paths - 1, 1), BLOCK_ROWS)
-    for lo, hi in zip(starts, [*starts[1:], batch.n_paths]):
-        yield dataclasses.replace(batch, values=batch.values[lo:hi])
+    for lo in range(0, batch.n_paths, BLOCK_ROWS):
+        yield dataclasses.replace(batch, values=batch.values[lo:lo + BLOCK_ROWS])
 
 
 def pair_means(per_path: np.ndarray, antithetic: bool) -> np.ndarray:

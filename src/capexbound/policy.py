@@ -9,15 +9,14 @@ convention, so an initial jump is booked at the first step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import BoundaryCurve
 from .model import (CoefficientSet, ProductionSpec, ScrapSpec, _freeze, cumulative_integral,
                     discount_step_masses)
-from .paths import MEASURE_P, PathBatch, mean_and_se, running_sup_matrix
+from .paths import MEASURE_P, PathBatch, running_sup_matrix
 from .production import reduced_value_array
 
 
@@ -66,44 +65,15 @@ def controlled_capacity(path_values: np.ndarray, plan) -> np.ndarray:
     return path_values * (plan.y + plan.nubar)
 
 
-@dataclass(frozen=True)
-class ProfitEstimate:
-    """Per-path values of one plan, with their mean and its standard error.
-
-    The two are taken over the antithetic pairs of the whole vector when
-    first read, so the estimates of a batch's row blocks are read only once
-    joined by ``concat``.
-    """
-
-    per_path: np.ndarray = field(repr=False)
-    antithetic: bool
-
-    @classmethod
-    def concat(cls, blocks: list) -> "ProfitEstimate":
-        return cls(np.concatenate([b.per_path for b in blocks]), blocks[0].antithetic)
-
-    @cached_property
-    def _mean_se(self) -> tuple[float, float]:
-        return mean_and_se(self.per_path, self.antithetic)
-
-    @property
-    def mean(self) -> float:
-        return self._mean_se[0]
-
-    @property
-    def se(self) -> float:
-        return self._mean_se[1]
-
-
 def profit(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
-           batch: PathBatch, plans: PlanBatch) -> ProfitEstimate:
-    """Expected discounted profit plus scrap, net of investment.
+           batch: PathBatch, plans: PlanBatch) -> np.ndarray:
+    """Per-path discounted profit plus scrap, net of investment.
 
-    Per-path value: discounted running profit at the controlled capacity
-    accumulated with left-frozen integrands and exact per-step discount
-    masses, plus discounted scrap at the horizon, minus the discounted
-    expenditure increments.  On a row block of a batch, read the estimate
-    only after joining the blocks' estimates with ``ProfitEstimate.concat``.
+    Each path's value is its discounted running profit at the controlled
+    capacity, accumulated with left-frozen integrands and exact per-step
+    discount masses, plus discounted scrap at the horizon, minus the
+    discounted expenditure increments.  ``paths.mean_and_se`` over the
+    batch's values gives the expected profit and its standard error.
     """
     if batch.measure != MEASURE_P:
         raise ValueError("profit expects paths under the physical measure")
@@ -116,13 +86,13 @@ def profit(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
     # booked at its left node, hence the shifted ledger column
     cap_step = batch.values[:, :-1] * (plans.y + plans.nubar[:, 1:])
     vals = reduced_value_array(prod, cap_step, coeffs.w[:n], coeffs.r[:n])
-    running = vals @ masses
+    running = np.einsum("pn,n->p", vals, masses)
     cap_end = batch.values[:, -1] * (plans.y + plans.nubar[:, -1])
     scrap_term = terminal * np.asarray(scrap.value(cap_end), dtype=float)
     cum_f = cumulative_integral(grid, coeffs.mu_F)
     disc_nodes = np.exp(-cum_f[:n])
-    spend = np.diff(plans.nu, axis=1) @ disc_nodes
-    return ProfitEstimate(running + scrap_term - spend, batch.antithetic)
+    spend = np.einsum("pn,n->p", np.diff(plans.nu, axis=1), disc_nodes)
+    return running + scrap_term - spend
 
 
 def zero_plan(batch, y: float) -> PlanBatch:

@@ -205,7 +205,7 @@ def test_criterion_8_policy_dominance(stochastic_instance):
                         cb.constant_rate_plan(si["coeffs"], batch, y, rate))
     results = []
     for label, alt in (("zero", j_zero), ("constant-rate", j_const)):
-        diff = pair_means(j_opt.per_path - alt.per_path, batch.antithetic)
+        diff = pair_means(j_opt - alt, batch.antithetic)
         se = float(np.std(diff, ddof=1) / np.sqrt(diff.size))
         results.append((label, float(np.mean(diff)), se))
     passed = all(mean >= -2 * se for _, mean, se in results)

@@ -7,6 +7,7 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -230,17 +231,20 @@ VERIFY_OUTCOMES = {
 }
 
 
+README_N20 = {
+    "grid": {"T": 1.0, "N": 20},
+    "coefficients": {"mu_C": 0.1, "sigma": 0.2, "f_C": 1.0, "mu_F": 0.05,
+                     "w": 1.0, "r": 1.0},
+    "production": {"variant": "cobb_douglas", "alpha": 0.25, "beta": 0.25,
+                   "gamma": 0.25, "kappa_L": 1e6, "kappa_K": 1e6},
+    "scrap": {"variant": "saturating_exponential", "a": 0.5, "b": 1.0},
+    "tolerances": {"tol_y": 1e-4, "tol_y_det": 1e-9, "cross_gap": 0.10},
+    "mc": {"paths": 4000, "seed": 0, "antithetic": True},
+}
+
+
 def test_verify_outcomes_pinned(tmp_path):
-    cfg = write_cfg(tmp_path, {
-        "grid": {"T": 1.0, "N": 20},
-        "coefficients": {"mu_C": 0.1, "sigma": 0.2, "f_C": 1.0, "mu_F": 0.05,
-                         "w": 1.0, "r": 1.0},
-        "production": {"variant": "cobb_douglas", "alpha": 0.25, "beta": 0.25,
-                       "gamma": 0.25, "kappa_L": 1e6, "kappa_K": 1e6},
-        "scrap": {"variant": "saturating_exponential", "a": 0.5, "b": 1.0},
-        "tolerances": {"tol_y": 1e-4, "tol_y_det": 1e-9, "cross_gap": 0.10},
-        "mc": {"paths": 4000, "seed": 0, "antithetic": True},
-    })
+    cfg = write_cfg(tmp_path, README_N20)
     outcomes = {}
     for seed in VERIFY_OUTCOMES:
         out = tmp_path / str(seed)
@@ -252,6 +256,31 @@ def test_verify_outcomes_pinned(tmp_path):
     assert {s: o[0] for s, o in outcomes.items()} == {s: o[0] for s, o in VERIFY_OUTCOMES.items()}
     for seed, (_, z) in outcomes.items():
         assert z == pytest.approx(VERIFY_OUTCOMES[seed][1], rel=1e-9, abs=0.0), seed
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("command, flags, code, file", [
+    # one antithetic pair leaves no spread for a standard error, so the FOC
+    # check fails with an infinite worst z-score
+    ("verify", ["--paths", "2"], 6, "report.json"),
+    # the capacity overflows, so every profit estimate is NaN
+    ("simulate", ["--y", "1.7e308"], 0, "manifest.json"),
+])
+def test_non_finite_results_are_strict_json_nulls(tmp_path, command, flags, code, file):
+    cfg = write_cfg(tmp_path, README_N20)
+    rc, boundary = solve(tmp_path, cfg)
+    assert rc == 0
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        assert cli.main([command, "--config", cfg, "--boundary", boundary,
+                         "--out", str(out)] + flags) == code
+    with open(out / file) as fh:
+        text = fh.read()
+    json.loads(text, parse_constant=_reject_constant)
+    assert "null" in text
 
 
 class TestBadCommandLine:

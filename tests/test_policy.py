@@ -135,8 +135,7 @@ class TestProfit:
         coeffs = simple_coeffs(grid)
         batch = cb.simulate(coeffs, 8, cb.MEASURE_P, seed=5)
         est = cb.profit(coeffs, ZERO_PROD, cb.ZeroScrap(), batch, cb.zero_plan(batch, 1.0))
-        assert est.mean == 0.0
-        assert est.se == 0.0
+        assert cb.mean_and_se(est, batch.antithetic) == (0.0, 0.0)
 
     def test_requires_physical_measure(self):
         grid = cb.TimeGrid.uniform(1.0, 5)
@@ -155,7 +154,8 @@ class TestProfit:
         prod = cb.power_marginal(0.5, 2.0)
         scrap = cb.SaturatingExponential(0.5, 1.0)
         batch = cb.simulate(coeffs, 2, cb.MEASURE_P, seed=0)
-        est = cb.profit(coeffs, prod, scrap, batch, cb.zero_plan(batch, y))
+        est, _ = cb.mean_and_se(cb.profit(coeffs, prod, scrap, batch, cb.zero_plan(batch, y)),
+                                batch.antithetic)
 
         def rate(t):
             c = y * np.exp(-mu_c * t)
@@ -163,7 +163,7 @@ class TestProfit:
 
         target, _ = quad(rate, 0.0, 1.0, limit=200)
         target += np.exp(-mu_f) * scrap.value(y * np.exp(-mu_c))
-        assert est.mean == pytest.approx(target, abs=2e-3 * abs(target))
+        assert est == pytest.approx(target, abs=2e-3 * abs(target))
 
     def test_exact_when_profit_linear_and_static(self):
         # rc constant in C with no decay: the frozen integrand is exact
@@ -171,9 +171,10 @@ class TestProfit:
         coeffs = simple_coeffs(grid, sigma=0.0, mu_C=0.0, mu_F=0.4)
         lin = SyntheticMarginal(power_scale=2.0, power_exponent=0.0)
         batch = cb.simulate(coeffs, 2, cb.MEASURE_P, seed=0)
-        est = cb.profit(coeffs, lin, cb.ZeroScrap(), batch, cb.zero_plan(batch, 1.5))
+        est, _ = cb.mean_and_se(cb.profit(coeffs, lin, cb.ZeroScrap(), batch,
+                                          cb.zero_plan(batch, 1.5)), batch.antithetic)
         target = 2.0 * 1.5 * (1 - np.exp(-0.4)) / 0.4
-        assert est.mean == pytest.approx(target, rel=1e-13)
+        assert est == pytest.approx(target, rel=1e-13)
 
     def test_policy_dominance(self):
         grid = cb.TimeGrid.uniform(1.0, 25)
@@ -186,7 +187,7 @@ class TestProfit:
         plans = cb.build_controls(curve, batch, y, coeffs)
         j_opt = cb.profit(coeffs, prod, scrap, batch, plans)
         j_zero = cb.profit(coeffs, prod, scrap, batch, cb.zero_plan(batch, y))
-        diff = pair_means(j_opt.per_path - j_zero.per_path, batch.antithetic)
+        diff = pair_means(j_opt - j_zero, batch.antithetic)
         se = np.std(diff, ddof=1) / np.sqrt(diff.size)
         assert np.mean(diff) > 2 * se
 

@@ -1,6 +1,8 @@
 """README's config block parses and its library example runs as printed."""
 
+import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -31,3 +33,6 @@ def test_library_block_runs():
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "efficiency" in proc.stdout
+    # the block ends by printing the profit's (mean, se)
+    mean, se = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+    assert math.isfinite(mean) and math.isfinite(se) and se > 0

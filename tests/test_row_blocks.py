@@ -40,8 +40,8 @@ def _config(model, **mc):
     return cfg
 
 
-# 302 antithetic rows end in a block of 46; 193 plain rows end in a lone row
-# that joins the block before it; a volatility-free batch is one row
+# 302 antithetic rows end in a block of 46; 193 plain rows end in a one-row
+# block; a volatility-free batch is one row
 BATCHES = {
     "antithetic": _config(README_MODEL),
     "plain_odd": _config(README_MODEL, paths=193, antithetic=False),
@@ -49,8 +49,8 @@ BATCHES = {
 }
 
 
-@pytest.mark.parametrize("n_rows, sizes", [(1, [1]), (2, [2]), (64, [64]), (65, [65]),
-                                           (128, [64, 64]), (129, [64, 65]),
+@pytest.mark.parametrize("n_rows, sizes", [(1, [1]), (2, [2]), (64, [64]), (65, [64, 1]),
+                                           (128, [64, 64]), (129, [64, 64, 1]),
                                            (302, [64, 64, 64, 64, 46])])
 def test_row_blocks_are_ordered_views(monkeypatch, n_rows, sizes):
     monkeypatch.setattr(paths, "BLOCK_ROWS", 64)
@@ -119,6 +119,38 @@ def test_block_size_leaves_every_output_unchanged(solved, tmp_path, monkeypatch,
     # JSON floats are written as their shortest round-trip text, so equal
     # reprs are equal bits
     assert repr(results[0]) == repr(results[1])
+
+
+_BLAS_THREADS_CODE = """
+import hashlib
+import numpy as np
+import capexbound as cb
+from capexbound.boundary import _NodeResidual
+grid = cb.TimeGrid.uniform(1.0, 100)
+coeffs = cb.CoefficientSet.build(grid, mu_C=0.1, sigma=0.2, f_C=1.0, mu_F=0.05, w=1.0, r=1.0)
+prod = cb.CobbDouglas(0.25, 0.25, 0.25, kappa_L=1e6, kappa_K=1e6)
+scrap = cb.SaturatingExponential(0.5, 1.0)
+batch = cb.simulate(coeffs, 20002, cb.MEASURE_P, seed=0)
+plans = cb.constant_rate_plan(coeffs, batch, 300.0, 500.0)
+print(hashlib.sha256(cb.profit(coeffs, prod, scrap, batch, plans).tobytes()).hexdigest())
+dense = _NodeResidual(coeffs, prod, scrap, 0, batch.values, np.linspace(800.0, 200.0, 99), True)
+print(hashlib.sha256(dense.per_path(800.0).tobytes()).hexdigest())
+"""
+
+
+def test_per_path_sums_do_not_depend_on_blas_threads():
+    # a BLAS matrix-vector product splits its rows between threads, and the
+    # split changes how some rows are summed
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_CODE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert digests[0] == digests[1]
 
 
 # getrusage's ru_maxrss would not do: Linux carries it across exec, so a
