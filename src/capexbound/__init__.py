@@ -36,6 +36,7 @@ from .paths import (
     simulate,
 )
 from .policy import (
+    CapacityRangeError,
     PlanBatch,
     build_controls,
     constant_rate_plan,

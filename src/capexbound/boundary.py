@@ -227,14 +227,10 @@ class _BatchResidual:
         # one zero row past the last step keeps every block sum in range
         self.weight = np.zeros((n + 1, n_paths))
         np.multiply((scale * masses)[:, None], self.cp[:n] ** self.q, out=self.weight[:n])
-        # suffix minimum over steps j >= i of cap_j / cp_j: the largest
-        # supremum a path can carry from node i on without reaching the box
-        self.box_room = None
-        if not np.all(np.isinf(cap)):
-            room = np.full((n + 1, n_paths), np.inf)
-            np.divide(cap[:, None], self.cp[:n], out=room[:n])
-            np.minimum.accumulate(room[::-1], axis=0, out=room[::-1])
-            self.box_room = room
+        # room at node i: min over steps j >= i of cap_j / cp_j, the largest
+        # supremum a path carries from i on inside the box, kept at i and i+1
+        self.cap = None if np.all(np.isinf(cap)) else cap
+        self.room = (np.full(n_paths, np.inf),) * 2
         # records under each path's top; no top before the first push
         self.below = np.zeros(n_paths, dtype=int)
         self.stack_q = np.zeros((2, n_paths))
@@ -245,7 +241,8 @@ class _BatchResidual:
         self.blocks_on = True
 
     def at(self, node: int, future: np.ndarray) -> None:
-        """Move to ``node``; ``future`` is the solved boundary after it."""
+        """Move to ``node``, one before the last node visited, as the stack and
+        the room carry over; ``future`` is the solved boundary after it."""
         self.node = node
         self.future = future
         self.dense = None
@@ -255,7 +252,7 @@ class _BatchResidual:
             # the new record governs steps node+2 onward; elsewhere the
             # supremum either equals it or is unchanged since the later node,
             # where it was checked already
-            if self.box_room is not None and np.any(record > self.box_room[node + 2]):
+            if self.cap is not None and np.any(record > self.room[1]):
                 self.blocks_on = False
             else:
                 self._push(record, node)
@@ -271,7 +268,9 @@ class _BatchResidual:
         self.tail_floor = cp_T * self.top_record
         self.tail_slope = cp_T / cp_i
         self.tail_mass = growth * self.terminal0
-        self.b_safe = np.inf if self.box_room is None else float(np.min(cp_i * self.box_room[node]))
+        if self.cap is not None:
+            self.room = (np.minimum(self.cap[node] / cp_i, self.room[0]), self.room[0])
+        self.b_safe = np.inf if self.cap is None else float(np.min(cp_i * self.room[0]))
         depth = self.below + 1 if self.top else self.below
         self.depths.append((float(depth.mean()), self.top))
 
@@ -613,9 +612,6 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
         return _BatchResidual(coeffs, prod, scrap, cp, antithetic)
 
     ev = evaluator("solve")
-    # a fresh batch at sigma = 0 would be the same single row again
-    ev_audit = None if deterministic else evaluator("audit")
-
     yhat = np.empty(n)
     nodes = [None] * n
     guess = aim = 1.0
@@ -624,10 +620,6 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
         ev.at(i, yhat[i + 1:])
         nodes[i] = node = _bisect_node(ev, guess, tol_rel, i, aim, slope)
         yhat[i] = guess = node.root
-        if not deterministic:
-            ev_audit.at(i, yhat[i + 1:])
-            audit, audit_se = ev_audit(guess)
-            nodes[i] = node._replace(residual=audit, residual_se=audit_se)
         # the next node's root, extrapolated from the last two
         aim = 2.0 * guess - yhat[i + 1] if i + 1 < n else guess
         slope = node.slope
@@ -638,7 +630,7 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
         "deterministic": deterministic,
         "mc": None if deterministic else asdict(mc),
         "efficiency_ok": None if report is None else report.efficiency_ok,
-        "residual_evals": ev.evals + (0 if ev_audit is None else ev_audit.evals),
+        "residual_evals": ev.evals,
         # midpoints plain bisection would have evaluated, most of them
         # settled without an evaluation
         "bisect_steps": int(iters.sum()),
@@ -649,4 +641,12 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
         "block_depth_mean": float(np.mean([d[0] for d in ev.depths])) if ev.depths else 0.0,
         "block_depth_max": max((d[1] for d in ev.depths), default=0),
     }
+    # a fresh audit batch, drawn once the solve batch is released; none at sigma = 0
+    del ev
+    if not deterministic:
+        audit = evaluator("audit")
+        for i in range(n - 1, -1, -1):
+            audit.at(i, yhat[i + 1:])
+            res[i], res_se[i] = audit(yhat[i])
+        meta["residual_evals"] += audit.evals
     return BoundaryCurve(grid, yhat, res, res_se, solver_se, iters, value_se, meta)

@@ -30,8 +30,8 @@ from .boundary import (
 from .config import ConfigError, RunConfig, checked_mc, load_config
 from .model import AssumptionError, validate
 from .paths import MEASURE_P, mean_and_se, row_blocks, simulate
-from .policy import (PlanBatch, build_controls, constant_rate_plan, controlled_capacity, profit,
-                     zero_plan)
+from .policy import (CapacityRangeError, PlanBatch, build_controls, constant_rate_plan,
+                     controlled_capacity, profit, zero_plan)
 from .verify import (
     Lattice,
     LatticeRangeError,
@@ -364,6 +364,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, LatticeRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except CapacityRangeError as exc:
+        print(f"capacity out of range: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (AssumptionError, BracketError) as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)

@@ -30,6 +30,10 @@ def _expenditure_from_additions(coeffs: CoefficientSet, decay: np.ndarray,
     return nu
 
 
+class CapacityRangeError(ValueError):
+    """An initial capacity that is not positive or overflows the controlled capacity."""
+
+
 @dataclass(frozen=True)
 class PlanBatch:
     """Per-path plans stored densely: rows are paths, columns grid nodes.
@@ -50,8 +54,10 @@ class PlanBatch:
 def build_controls(curve: BoundaryCurve, batch: PathBatch, y: float,
                    coeffs: CoefficientSet) -> PlanBatch:
     """Vectorized tracking policy over a batch of paths."""
-    if y <= 0:
-        raise ValueError("initial capacity must be positive")
+    # capacity >= y * decay; a product of Python floats overflows without a warning
+    if not 0.0 < float(y) * float(np.max(batch.values)) < np.inf:
+        raise CapacityRangeError(f"initial capacity {y:g} is not positive or overflows "
+                                 "the controlled capacity")
     sup = running_sup_matrix(batch.values, curve.values)
     # sup is a running maximum, so the ledger is already non-decreasing
     nubar = np.concatenate([np.zeros((batch.values.shape[0], 1)),

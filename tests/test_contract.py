@@ -6,6 +6,7 @@ import copy
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -266,8 +267,6 @@ def _reject_constant(name):
     # one antithetic pair leaves no spread for a standard error, so the FOC
     # check fails with an infinite worst z-score
     ("verify", ["--paths", "2"], 6, "report.json"),
-    # the capacity overflows, so every profit estimate is NaN
-    ("simulate", ["--y", "1.7e308"], 0, "manifest.json"),
 ])
 def test_non_finite_results_are_strict_json_nulls(tmp_path, command, flags, code, file):
     cfg = write_cfg(tmp_path, README_N20)
@@ -281,6 +280,23 @@ def test_non_finite_results_are_strict_json_nulls(tmp_path, command, flags, code
         text = fh.read()
     json.loads(text, parse_constant=_reject_constant)
     assert "null" in text
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_overflowing_capacity_exits_2(tmp_path, capsys, command):
+    # y times the largest decay factor overflows, so every controlled
+    # capacity from this level would be inf; the check comes before any
+    # product that would warn
+    cfg = write_cfg(tmp_path, README_N20)
+    rc, boundary = solve(tmp_path, cfg)
+    assert rc == 0
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main([command, "--config", cfg, "--boundary", boundary, "--y", "1.7e308",
+                         "--out", str(out)]) == 2
+    assert "initial capacity 1.7e+308" in capsys.readouterr().err
+    assert not list(out.glob("*.json"))
 
 
 class TestBadCommandLine:

@@ -29,9 +29,23 @@ def _walk(coeffs, prod, scrap, cp, curve, antithetic, rel_candidates):
     evaluator built at every node; returns the block evaluator."""
     ev = _BatchResidual(coeffs, prod, scrap, cp, antithetic)
     n = coeffs.grid.n_steps
+    # the box room by its definition: row i is the suffix minimum over steps
+    # j >= i of cap_j / cp_j, with an unbounded row past the last step
+    cap = boundary.power_marginal_form(prod, coeffs.w[:n], coeffs.r[:n])[2]
+    room = np.full((n + 1, cp.shape[0]), np.inf)
+    np.divide(cap[:, None], cp.T[:n], out=room[:n])
+    np.minimum.accumulate(room[::-1], axis=0, out=room[::-1])
+    blocks_on = ev.blocks_on
     for i in range(n - 1, -1, -1):
         future = curve[i + 1:]
         ev.at(i, future)
+        # a record whose supremum reaches the box from node i+2 on ends the
+        # blocks for good; b_safe is the smallest candidate that reaches it
+        if future.size and np.any(future[0] / cp[:, i + 1] > room[i + 2]):
+            blocks_on = False
+        assert ev.blocks_on == blocks_on
+        if blocks_on:
+            assert ev.b_safe == float(np.min(cp[:, i] * room[i]))
         dense = _NodeResidual(coeffs, prod, scrap, i, cp, future, antithetic)
         candidates = [f * curve[i] for f in rel_candidates]
         if ev.blocks_on and np.isfinite(ev.b_safe):

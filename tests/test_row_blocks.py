@@ -168,12 +168,22 @@ def solved_readme(tmp_path_factory):
     return cfg, os.path.join(out, "boundary.csv")
 
 
+# 20000 x 101 doubles are 16 MB.  `solve` holds one batch at a time, the solve
+# batch and then the audit batch; with both alive through the backward loop,
+# and a second matrix of that size in each for the box room, it peaked near
+# 160 MB.  `simulate` and `verify` each add one row block to their batch; each
+# of their former per-plan and per-level matrices added 16 MB again.
+PEAK_MB = {"solve": 125.0, "simulate": 150.0, "verify": 150.0}
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
-@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("command", ["simulate", "verify", "solve"])
 def test_peak_memory_is_the_decay_matrix_plus_one_block(solved_readme, tmp_path, command):
     cfg, boundary = solved_readme
     extra = ["--y", "0.3"] if command == "simulate" else []
-    argv = [command, "--config", cfg, "--boundary", boundary, "--out", str(tmp_path / "o")]
+    if command != "solve":
+        extra += ["--boundary", boundary]
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
     code = ("import sys\n"
             "from capexbound.cli import main\n"
             "rc = main(sys.argv[1:])\n"
@@ -185,7 +195,5 @@ def test_peak_memory_is_the_decay_matrix_plus_one_block(solved_readme, tmp_path,
     proc = subprocess.run([sys.executable, "-c", code] + argv + extra, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode in (0, 6), proc.stderr
-    # 20000 x 101 doubles are 16 MB; each of the former per-plan and
-    # per-level matrices added as much again
     peak_mb = float(proc.stdout.strip().splitlines()[-1])
-    assert peak_mb < 150.0
+    assert peak_mb < PEAK_MB[command]
