@@ -86,9 +86,16 @@ def read_boundary_csv(path: str) -> BoundaryFile:
         seed = int(meta.get("seed", 0))
     except (OSError, ValueError, IndexError) as exc:
         raise BoundaryFileError(f"cannot read boundary file {path}: {exc}") from exc
-    if not (np.all(np.isfinite(yhat) & (yhat > 0)) and np.all(np.isfinite(iters))):
-        raise BoundaryFileError(f"{path}: boundary values must be positive and finite, "
-                                "iteration counts finite")
+    # every comparison is False on NaN
+    checks = [("yhat", "positive and finite", (yhat > 0) & (yhat < np.inf)),
+              ("iters", "a count", (iters >= 0) & (iters < 2.0 ** 63) & (iters == np.floor(iters))),
+              ("residual", "finite", np.isfinite(residual))]
+    checks += [(name, "finite and not negative", (col >= 0) & (col < np.inf))
+               for name, col in (("residual_se", residual_se), ("solver_se", solver_se),
+                                 ("value_se", value_se))]
+    for name, rule, ok in checks:
+        if not np.all(ok):
+            raise BoundaryFileError(f"{path}: every {name} must be {rule}")
     return BoundaryFile(t, yhat, residual, residual_se, iters.astype(int), solver_se,
                         value_se, meta.get("model_hash", ""), seed)
 

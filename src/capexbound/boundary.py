@@ -3,10 +3,11 @@
 The boundary value at each node is the root, in the candidate level, of a
 discounted expectation of future marginal profits evaluated along the running
 supremum of boundary-to-decay ratios, minus the replacement cost of capital.
-Solving proceeds backward in time.  At each node plain bisection (``_walk``)
-brackets the root by geometric expansion around the previous node's solution,
-over the whole range of positive floats, and bisects it; a few probes near the
-predicted root settle most of its signs (``_bisect_node``).
+Solving proceeds backward in time.  At each node one walk of plain bisection
+(``_walk``) brackets the root by geometric expansion around the previous
+node's solution, over the whole range of positive floats, and bisects it; a
+few probes near the predicted root settle most of its signs
+(``_bisect_node``).
 
 Discretization conventions, shared with the policy and verification modules:
 
@@ -56,9 +57,9 @@ class BracketError(AssumptionError):
 
 
 class ConvergenceError(RuntimeError):
-    """Bisection stopped short of a root: the residual was not decreasing
-    across the bracket (a NaN residual), or the tolerance is finer than the
-    floats near the root can resolve."""
+    """The solve stopped short of a root: a residual was NaN, the decay paths
+    left the doubles, or the tolerance is finer than the floats near the
+    root can resolve."""
 
 
 @dataclass(frozen=True)
@@ -354,36 +355,29 @@ def residual(node: int, candidate: float, future: np.ndarray, batch: PathBatch,
     return ev(candidate)
 
 
-# plain bisection's sign tests on the residual r: a lower bracket end holds
-# unless r <= 0, an upper one unless r >= 0, and a midpoint becomes the lower
-# end if r > 0, which differs from the first only on NaN
-_LO, _HI, _MID = 0, 1, 2
 # evaluations the probes near the aim may run ahead of plain bisection's path
 _LEAD = 4
 
 
-def _walk(sign, seen: dict, lo: float, hi: float, tol_rel: float, node: int) -> tuple[float, float, int]:
+def _walk(sign, lo: float, hi: float, tol_rel: float, node: int) -> tuple[float, float, int]:
     """Plain bisection's control flow, with each sign test's outcome from ``sign``.
 
-    The bracket [lo, hi] expands geometrically, the lower end halving until
-    ``sign(lo, _LO)`` and the upper end doubling until ``sign(hi, _HI)``; it
-    then bisects to relative width ``tol_rel``, a midpoint becoming the
-    lower end if ``sign(mid, _MID)``.  ``seen`` maps each evaluated candidate
-    to its residual and standard error; two evaluated ends must show a
-    decreasing residual.  Returns the final bracket and the step count.
+    ``sign(x, upper, lo, hi)`` tells whether the residual r at ``x`` is
+    negative (``upper``) or positive, [lo, hi] being the bracket it tests
+    ``x`` for.  The bracket expands geometrically, the lower end halving
+    until r > 0 there and the upper end doubling until r < 0; it then
+    bisects to relative width ``tol_rel``, a midpoint becoming the lower end
+    if r > 0.  Returns the final bracket and the step count.
     """
     # the bracket may reach any positive float, but never 0 or inf
-    while lo > 0.0 and not sign(lo, _LO):
+    while lo > 0.0 and not sign(lo, False, lo, hi):
         lo *= 0.5
     if lo == 0.0:
         raise BracketError(f"node {node}: no sign change down to the smallest float")
-    while hi < np.inf and not sign(hi, _HI):
+    while hi < np.inf and not sign(hi, True, lo, hi):
         hi *= 2.0
     if hi == np.inf:
         raise BracketError(f"node {node}: no sign change up to the largest float")
-    # with signs from evaluations this holds unless a residual is NaN
-    if lo in seen and hi in seen and not seen[lo][0] > seen[hi][0]:
-        raise ConvergenceError(f"node {node}: residual not decreasing across the bracket")
     iters = 0
     # halving before adding keeps a midpoint near the largest float finite,
     # with the bits of 0.5 * (lo + hi) elsewhere
@@ -393,7 +387,7 @@ def _walk(sign, seen: dict, lo: float, hi: float, tol_rel: float, node: int) -> 
         if mid == lo or mid == hi:
             raise ConvergenceError(f"node {node}: tolerance {tol_rel:g} is below the "
                                    f"float resolution at {mid:g}")
-        if sign(mid, _MID):
+        if sign(mid, False, lo, hi):
             lo = mid
         else:
             hi = mid
@@ -413,30 +407,27 @@ def _bisect_node(ev, guess: float, tol_rel: float, node: int, aim: float | None 
     """Root of one node's residual, bit for bit the one plain bisection finds.
 
     Plain bisection brackets the root by halving ``guess/2`` and doubling
-    ``2 guess`` and bisects to ``tol_rel``.  Each pass here runs ``_walk`` on
-    the signs that evaluations settle on a non-increasing residual: r > 0 at
-    a point holds below it, r <= 0 and r < 0 above it.  Any other sign is
-    predicted from ``aim``, and the pass then evaluates one probe: the open
-    end of its final bracket nearest ``aim``, or else its first open
-    candidate, which plain bisection evaluates too.  A pass with no open sign
-    is plain bisection.
+    ``2 guess`` and bisects to ``tol_rel``; ``_walk`` runs it once.  On a
+    non-increasing residual an evaluation settles signs around it: r > 0
+    holds below, r <= 0 and r < 0 above, r >= 0 below.  An open sign is
+    settled by probes: from the walk's bracket, plain bisection's cells are
+    followed toward ``aim`` where no sign settles them, and the open end of
+    the last cell nearest ``aim`` is evaluated.
+    The candidate itself is evaluated instead when the probes are ``_LEAD``
+    evaluations ahead of plain bisection's path, when ``aim`` cannot move,
+    or at an expanded bracket end, which the aim did not foresee: a node
+    then costs at most ``_LEAD + 2`` evaluations over plain bisection.
 
     ``aim`` starts at the caller's prediction (``guess`` by default) and moves
     by residual over ``slope`` (the previous node's bracket slope), then by
     the secant through the last two probes, doubling the step where that
     secant does not fall, and once the root is bracketed by Illinois regula
-    falsi.  A pass's first open sign is evaluated on the spot instead when
-    the probes are ``_LEAD`` evaluations ahead of plain bisection's path,
-    when ``aim`` cannot move, or at an expanded bracket end, which the aim
-    did not foresee: a node then costs at most ``_LEAD + 2`` evaluations
-    over plain bisection, and a pass O(k) sign tests over k expansions.
-    After a non-finite residual the node is bisected on evaluations alone,
-    through the cache.  Returns the node's record, whose slope places the
+    falsi.  A NaN residual raises ``ConvergenceError``; an infinite one is a
+    sign like any other.  Returns the node's record, whose slope places the
     next node's evaluations.
     """
     seen = {}
     lo0, hi0 = 0.5 * guess, 2.0 * guess
-    infer = follow_aim = True
     # largest candidate with r > 0, smallest with r <= 0, smallest with r < 0
     # and largest with r >= 0
     pos, nonpos, neg, nonneg = -np.inf, np.inf, np.inf, -np.inf
@@ -448,18 +439,18 @@ def _bisect_node(ev, guess: float, tol_rel: float, node: int, aim: float | None 
     # moved last once both are known
     f_pos = f_nonpos = 0.0
     moved = None
+    tests = 0
 
     def value(x):
         if x not in seen:
             seen[x] = ev(x)
+            if math.isnan(seen[x][0]):
+                raise ConvergenceError(f"node {node}: residual is NaN at candidate {x:g}")
         return seen[x]
 
     def probe(x):
-        nonlocal infer, pos, nonpos, neg, nonneg, aim, follow_aim, last, step, f_pos, f_nonpos, moved
+        nonlocal pos, nonpos, neg, nonneg, aim, last, step, f_pos, f_nonpos, moved
         r = value(x)[0]
-        if not math.isfinite(r):
-            infer = False
-            return
         # a probe lies above pos, and below nonpos unless it was an upper
         # bracket end at or above a zero of the residual
         if r > 0.0:
@@ -477,7 +468,6 @@ def _bisect_node(ev, guess: float, tol_rel: float, node: int, aim: float | None 
                 else:
                     f_pos *= 0.5
             moved = r > 0.0
-            follow_aim = True
             # a halved weight underflowing to the other's 0 leaves the midpoint
             aim = (pos + f_pos * (nonpos - pos) / (f_pos - f_nonpos) if f_pos != f_nonpos
                    else 0.5 * pos + 0.5 * nonpos)
@@ -489,63 +479,35 @@ def _bisect_node(ev, guess: float, tol_rel: float, node: int, aim: float | None 
                 new_step = r / secant if secant > 0.0 else math.copysign(2.0 * abs(step), new_step)
             last, step = (x, r), new_step
             aim = x + step if x + step > 0.0 else 0.5 * x
-        else:
-            follow_aim = False
 
-    def settled(x, test):
-        """Outcome of ``test`` at ``x``: settled, evaluated or predicted."""
-        nonlocal tests, first, upper
+    def nearest(x, lo, hi):
+        """The open end nearest ``aim`` of the last cell on the way to it
+        from [lo, hi], or else ``x``."""
+        mid = 0.5 * lo + 0.5 * hi
+        while hi - lo > tol_rel * mid and lo < mid < hi:
+            if mid <= pos or mid < nonpos and mid < aim:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * lo + 0.5 * hi
+        return min((e for e in (lo, hi) if pos < e < nonpos), key=lambda e: abs(e - aim),
+                   default=x)
+
+    def sign(x, upper, lo, hi):
+        nonlocal tests
         tests += 1
-        # every evaluated candidate is settled by these bounds
-        if test == _HI:
-            if x >= neg:
-                return True
-            if x <= nonneg:
-                return False
-        elif x <= pos:
-            return True
-        elif x >= nonpos:
-            return False
-        if first is None:
-            if not infer:
-                # a non-finite probe voided this pass: finish it unevaluated
-                return True
+        # an evaluated candidate settles both its tests, so every probe is new
+        while not (x >= neg or x <= nonneg if upper else x <= pos or x >= nonpos):
             # tests - 1 signs came before this one on plain bisection's path
-            if (not follow_aim or len(seen) - tests + 1 >= _LEAD
-                    or test != _MID and x != (lo0, hi0)[test]):
-                probe(x)
-                r = seen[x][0]
-                return r < 0.0 if test == _HI else r > 0.0
-            first = x
-        if test != _HI:
-            return x < aim
-        # an upper end predicted to hold; no midpoint can land on it
-        upper = x if x > aim else upper
-        return x > aim
+            ahead = len(seen) - tests + 1 >= _LEAD
+            # without a slope the aim stays put until bracketed, after one probe
+            stuck =slope is None and seen and (pos == -np.inf or nonpos == np.inf)
+            expanded = x in (lo, hi) and x not in (lo0, hi0)
+            probe(x if ahead or stuck or expanded else nearest(x, lo, hi))
+        return x >= neg if upper else x <= pos
 
-    def evaluated(x, test):
-        r = value(x)[0]
-        return r > 0.0 if test == _MID else not (r >= 0.0 if test == _HI else r <= 0.0)
-
-    while infer:
-        first, upper, tests = None, None, 0
-        try:
-            lo, hi, iters = _walk(settled, seen, lo0, hi0, tol_rel, node)
-        except (BracketError, ConvergenceError):
-            if first is None and infer:
-                raise
-            ends = ()
-        else:
-            # the final ends whose signs were predicted: those the bounds
-            # leave open, and an upper end held by prediction above a zero
-            ends = [x for x in (lo, hi) if pos < x < nonpos or x == upper]
-        if first is None:
-            break
-        probe(min(ends, key=lambda x: abs(x - aim), default=first))
-    if not infer:
-        lo, hi, iters = _walk(evaluated, seen, lo0, hi0, tol_rel, node)
-    res_lo = value(lo)[0]
-    res_hi = value(hi)[0]
+    lo, hi, iters = _walk(sign, lo0, hi0, tol_rel, node)
+    res_lo, res_hi = value(lo)[0], value(hi)[0]
     root = 0.5 * lo + 0.5 * hi
     res_root, se_root = value(root)
     # residual uncertainty carried by the root: Monte-Carlo noise of the frozen
@@ -564,11 +526,12 @@ def solve_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpe
 
     Each node freezes one batch of changed-measure paths, brackets the root
     geometrically around the previous node's solution (1.0 at the last node)
-    and bisects to relative tolerance.  The bisection is replayed from a few
-    probes near the root extrapolated from the two later nodes, with the
-    result of plain bisection on the frozen batch.  The residual at the
-    returned value is then re-estimated on a fresh batch and reported with
-    its standard error.
+    and bisects to relative tolerance.  Most of the bisection's signs are
+    settled by a few probes near the root extrapolated from the two later
+    nodes, and the result is plain bisection's on the frozen batch; a NaN
+    residual raises ``ConvergenceError``.  The residual at the returned
+    value is then re-estimated on a fresh batch and reported with its
+    standard error.
 
     A volatility-free instance has a single decay path: it is solved on that
     one row, whatever ``mc`` says, to the deterministic tolerance, and its

@@ -104,6 +104,30 @@ class TestBadBoundaryFile:
         open(boundary, "w").write("\n".join(lines) + "\n")
         assert run_consumers(tmp_path, cfg, boundary) == [5, 5, 5]
 
+    # RuntimeWarnings are errors here: a count beyond the integers must not reach a cast
+    @pytest.mark.parametrize("column,cell", [
+        ("iters", "1e30"), ("iters", "2.5"), ("iters", "-3"), ("iters", "nan"),
+        ("residual", "nan"), ("residual", "-inf"),
+        ("residual_se", "nan"), ("residual_se", "-1"),
+        ("solver_se", "inf"), ("solver_se", "-1e-300"),
+        ("value_se", "nan"), ("value_se", "-1"),
+    ])
+    def test_bad_cell_exits_5_naming_its_column(self, tmp_path, capsys, column, cell):
+        cfg = write_cfg(tmp_path, SMALL)
+        rc, boundary = solve(tmp_path, cfg)
+        assert rc == 0
+        lines = open(boundary).read().splitlines()
+        k = lines[2].split(",").index(column)
+        cells = lines[4].split(",")
+        cells[k] = cell
+        lines[4] = ",".join(cells)
+        open(boundary, "w").write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_consumers(tmp_path, cfg, boundary) == [5, 5, 5]
+        assert capsys.readouterr().err.count(f"every {column} must be") == 3
+
 
 class TestBadConfig:
     @pytest.mark.parametrize("section,key,value", [
@@ -381,7 +405,7 @@ def solved_small():
             yield d, cfg, fh.read().splitlines()
 
 
-_CELLS = st.sampled_from(["x", "", "nan", "inf", "-1", "0", "1e400", "1.5"])
+_CELLS = st.sampled_from(["x", "", "nan", "inf", "-1", "0", "1e400", "1.5", "1e30"])
 
 
 @st.composite
