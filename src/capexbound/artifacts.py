@@ -1,6 +1,7 @@
 """Deterministic artifact emission: CSV files with 17-significant-digit
-rendering and a JSON run manifest.  Output bytes depend only on the config,
-seeds and flags, never on timing or worker count.
+rendering and a JSON run manifest.  On one machine output bytes depend only
+on the config, seeds and flags, never on timing or worker count; numpy's
+SIMD kernels differ between CPUs and can move the last digits.
 """
 
 from __future__ import annotations
@@ -103,22 +104,22 @@ def read_boundary_csv(path: str) -> BoundaryFile:
 def write_controls_csv(path: str, grid: TimeGrid, plans, capacity: np.ndarray,
                        limit: int = 100) -> None:
     n_dump = min(limit, plans.nubar.shape[0])
-    t = grid.nodes
+    t = grid.nodes.tolist()
     lines = ["path_id,t,nubar,nu,capacity"]
     for p in range(n_dump):
-        for k in range(t.size):
-            lines.append(",".join([str(p), fmt(t[k]), fmt(plans.nubar[p, k]),
-                                   fmt(plans.nu[p, k]), fmt(capacity[p, k])]))
+        # '%.17g' % x is fmt(x) for every float, one format call per row
+        rows = zip(t, plans.nubar[p].tolist(), plans.nu[p].tolist(), capacity[p].tolist())
+        lines += [f"{p}," + "%.17g,%.17g,%.17g,%.17g" % row for row in rows]
     _write_lines(path, lines)
 
 
 def write_paths_csv(path: str, grid: TimeGrid, batch, limit: int = 100) -> None:
     n_dump = min(limit, batch.values.shape[0])
-    t = grid.nodes
+    t = grid.nodes.tolist()
     lines = ["path_id,t,value,measure"]
     for p in range(n_dump):
-        for k in range(t.size):
-            lines.append(",".join([str(p), fmt(t[k]), fmt(batch.values[p, k]), batch.measure]))
+        lines += [f"{p}," + "%.17g,%.17g," % row + batch.measure
+                  for row in zip(t, batch.values[p].tolist())]
     _write_lines(path, lines)
 
 

@@ -48,7 +48,7 @@ from .model import (
     discount_step_masses,
     validate,
 )
-from .paths import MEASURE_Q, PathBatch, mean_and_se, running_sup_matrix, sample_decay
+from .paths import MEASURE_Q, PathBatch, _sample_decay, mean_and_se, running_sup_matrix
 from .production import power_marginal_form, reduced_marginal_array
 
 
@@ -162,18 +162,21 @@ class _NodeResidual:
 class _BatchResidual:
     """Residual evaluator for one frozen batch, stepped backward node by node.
 
-    ``cp`` holds the batch's decay paths from node 0 to the horizon.  ``at``
-    moves the evaluator to a node once the boundary after it is known; calls
-    then evaluate the residual there.
+    ``cp`` holds the batch's decay paths from node 0 to the horizon, one row
+    per node, so that every per-node read is a contiguous row.  ``at`` moves
+    the evaluator to a node once the boundary after it is known; calls then
+    evaluate the residual there.
 
     With a marginal scale_j * C^q, q < 0, the term of step j on one path is
     scale_j * (cp_j * max(M_j, c / cp_i))^q * mass_j, where M_j is the
     supremum of yhat_l / cp_l over i < l < j and the masses carry the discount
     from node i.  That mass is e^{cum_i} times the step's mass from node 0,
-    so W_j = scale_j * cp_j^q * mass_j is fixed for the whole solve and the
-    term is e^{cum_i} * W_j * min(M_j^q, (c / cp_i)^q).  M is constant between
-    two records of yhat_l / cp_l; each path keeps its records on a monotone
-    stack together with the summed weight of the block each record governs.
+    so W_j = scale_j * cp_j^q * mass_j does not depend on i and the term is
+    e^{cum_i} * W_j * min(M_j^q, (c / cp_i)^q).  W_j is computed once, when
+    node j is visited, and only the rows of nodes i, i+1 and i+2 are kept.
+    M is constant between two records of yhat_l / cp_l; each path keeps its
+    records on a monotone stack together with the summed weight of the block
+    each record governs.
     Row ``top`` of a padded array holds every path's top, the latest and
     smallest record, so that a push compares and replaces one contiguous row;
     the records beneath it fill rows 1..below, largest at row 1, and the
@@ -195,14 +198,13 @@ class _BatchResidual:
                  cp: np.ndarray, antithetic: bool):
         grid = coeffs.grid
         n = grid.n_steps
-        n_paths = cp.shape[0]
+        n_paths = cp.shape[1]
         self.coeffs = coeffs
         self.prod = prod
         self.scrap = scrap
         self.antithetic = antithetic
         self.n = n
-        # node-major, so every per-node row read is contiguous
-        self.cp = np.ascontiguousarray(cp.T)
+        self.cp = cp
         # a path at 0 or inf would rescale its sub-paths to 0/0 or inf/inf
         low, high = self.cp.min(axis=1), self.cp.max(axis=1)
         bad = np.flatnonzero(~((low > 0.0) & (high < np.inf)))
@@ -225,9 +227,9 @@ class _BatchResidual:
             return
         scale, self.q, cap = form
         self.growth = np.exp(cumulative_integral(grid, coeffs.bar_mu))
-        # one zero row past the last step keeps every block sum in range
-        self.weight = np.zeros((n + 1, n_paths))
-        np.multiply((scale * masses)[:, None], self.cp[:n] ** self.q, out=self.weight[:n])
+        self.scale_mass = scale * masses
+        # W at the last node visited and the one after it, zero past the last step
+        self.weights = (np.zeros(n_paths),) * 2
         # room at node i: min over steps j >= i of cap_j / cp_j, the largest
         # supremum a path carries from i on inside the box, kept at i and i+1
         self.cap = None if np.all(np.isinf(cap)) else cap
@@ -261,7 +263,9 @@ class _BatchResidual:
             return
         cp_i = self.cp[node]
         growth = float(self.growth[node])
-        self.stack_w[0] = self.weight[node] + self.weight[node + 1]
+        weight = self.scale_mass[node] * cp_i ** self.q
+        self.stack_w[0] = weight + self.weights[0]
+        self.weights = (weight, self.weights[0])
         self.block_w = self.stack_w[: self.top + 1] * growth
         self.block_q = self.stack_q[: self.top + 1]
         self.cand_q = cp_i ** -self.q
@@ -277,7 +281,7 @@ class _BatchResidual:
 
     def _push(self, record: np.ndarray, node: int) -> None:
         rec_q = record ** self.q
-        acc = self.weight[node + 2].copy()
+        acc = self.weights[1].copy()
         top, below = self.top, self.below
         stack_q, stack_w = self.stack_q, self.stack_w
         if top:
@@ -559,7 +563,7 @@ def deterministic_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: 
 
 def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
                     report) -> BoundaryCurve:
-    """Backward induction over the decay matrices of ``sample_decay``."""
+    """Backward induction over node-major decay matrices of ``sample_decay``."""
     grid = coeffs.grid
     n = grid.n_steps
     deterministic = coeffs.is_sigma_zero()
@@ -571,7 +575,7 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
     def evaluator(purpose):
         # _BatchResidual reports a path that overflows, so exp need not warn
         with np.errstate(over="ignore"):
-            cp = sample_decay(coeffs, mc.n_paths, MEASURE_Q, mc.seed, purpose, antithetic)
+            cp = _sample_decay(coeffs, mc.n_paths, MEASURE_Q, mc.seed, purpose, antithetic, True)
         return _BatchResidual(coeffs, prod, scrap, cp, antithetic)
 
     ev = evaluator("solve")

@@ -30,7 +30,7 @@ _PURPOSE_TAGS = {"simulate": 1, "solve": 2, "audit": 3}
 # rows per block of the per-path work after a batch is drawn (controls,
 # profits, first-order conditions), so its temporaries do not grow with the
 # path count
-BLOCK_ROWS = 2048
+BLOCK_ROWS = 1024
 
 
 def log_increment_moments(coeffs: CoefficientSet, measure: str):
@@ -112,40 +112,58 @@ def mean_and_se(per_path: np.ndarray, antithetic: bool) -> tuple[float, float]:
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n))
 
 
-def values_from_normals(coeffs: CoefficientSet, normals: np.ndarray, measure: str) -> np.ndarray:
-    """Decay-factor matrix from standard normal step draws (exact stepping)."""
+def _step_decay(coeffs: CoefficientSet, paths: np.ndarray, measure: str) -> np.ndarray:
+    """Exact stepping in place: ``paths`` has one row per path, zero at node
+    0 and standard normal step draws after it; the draws take the steps,
+    their running sums and then, with node 0, the exponential.  A transposed
+    view steps a node-major buffer."""
     mean, var = log_increment_moments(coeffs, measure)
-    # one buffer: column 0 is log 1, the others take the steps, their running
-    # sums and then the exponential in place
-    out = np.empty((normals.shape[0], normals.shape[1] + 1))
-    out[:, 0] = 0.0
-    steps = out[:, 1:]
-    np.multiply(np.sqrt(var), normals, out=steps)
+    steps = paths[:, 1:]
+    np.multiply(np.sqrt(var), steps, out=steps)
     np.add(mean, steps, out=steps)
     np.cumsum(steps, axis=1, out=steps)
-    return np.exp(out, out=out)
+    return np.exp(paths, out=paths)
+
+
+def values_from_normals(coeffs: CoefficientSet, normals: np.ndarray, measure: str) -> np.ndarray:
+    """Decay-factor matrix, one row per path, from standard normal step draws
+    with one column per step."""
+    out = np.zeros((normals.shape[0], normals.shape[1] + 1))
+    out[:, 1:] = normals
+    return _step_decay(coeffs, out, measure)
+
+
+def _sample_decay(coeffs: CoefficientSet, n: int, measure: str, seed: int, purpose: str,
+                  antithetic: bool, by_node: bool) -> np.ndarray:
+    """``sample_decay``, or with ``by_node`` its transpose, drawn as such."""
+    m = coeffs.grid.n_steps
+    sigma_zero = coeffs.is_sigma_zero()
+    h = (n + 1) // 2 if antithetic else n
+    rows = 1 if sigma_zero else 2 * h if antithetic else n
+    buf = np.zeros((m + 1, rows) if by_node else (rows, m + 1))
+    paths = buf.T if by_node else buf
+    # the draw goes straight into the step columns, and the first half of an
+    # antithetic batch is negated into the second
+    if not sigma_zero:
+        paths[:h, 1:] = gaussian_matrix(seed, purpose, (h, m))
+        if antithetic:
+            np.negative(paths[:h, 1:], out=paths[h:, 1:])
+    _step_decay(coeffs, paths, measure)
+    return buf
 
 
 def sample_decay(coeffs: CoefficientSet, n: int, measure: str, seed: int, purpose: str,
                  antithetic: bool) -> np.ndarray:
-    """Decay-factor matrix from t = 0 on the stream keyed by ``purpose``.
+    """Decay-factor matrix from t = 0 on the stream keyed by ``purpose``, one
+    row per path.
 
     With ``antithetic`` the count is rounded up to an even number and the
     second half of the rows mirrors the Gaussian draws of the first half.
     When sigma is identically zero every path is the same, so the matrix is
-    one row built from zero normals, with no draw, whatever ``n`` is.
+    one row built from zero normals, with no draw, whatever ``n`` is.  Only
+    the output is full-size; the draw is half that when antithetic.
     """
-    m = coeffs.grid.n_steps
-    if coeffs.is_sigma_zero():
-        normals = np.zeros((1, m))
-    elif antithetic:
-        h = (n + 1) // 2
-        normals = np.empty((2 * h, m))
-        normals[:h] = gaussian_matrix(seed, purpose, (h, m))
-        np.negative(normals[:h], out=normals[h:])
-    else:
-        normals = gaussian_matrix(seed, purpose, (n, m))
-    return values_from_normals(coeffs, normals, measure)
+    return _sample_decay(coeffs, n, measure, seed, purpose, antithetic, False)
 
 
 def simulate(coeffs: CoefficientSet, n: int, measure: str = MEASURE_P, seed: int = 0,

@@ -312,15 +312,18 @@ class _FocWorkspace:
         suffix = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1]
         # on the step straight after the stopping node the plan's action at
         # that node is already in force, so the frozen integrand there uses
-        # the post-action capacity; later steps keep the node values
-        cap_plus = batch.values[:, :n] * (y + self.plans.nubar[:, 1:])
-        marg_plus = reduced_marginal_array(prod, cap_plus, coeffs.w[:n], coeffs.r[:n])
-        own_step = mart[:, :n] * mass0[None, :] * (marg_plus - marg)
+        # the post-action capacity; later steps keep the node values.  The
+        # two capacities differ only where the plan acts, so the change in
+        # the step's marginal is added to the suffix sums on those cells alone
+        nubar = self.plans.nubar
+        rows, cols = np.nonzero(nubar[:, 1:] != nubar[:, :n])
+        cap_plus = batch.values[rows, cols] * (y + nubar[rows, cols + 1])
+        marg_plus = reduced_marginal_array(prod, cap_plus, coeffs.w[cols], coeffs.r[cols])
+        suffix[rows, cols] += mart[rows, cols] * mass0[cols] * (marg_plus - marg[rows, cols])
         disc_f = np.exp(-cum_f)
         with np.errstate(over="ignore"):
             self.integrand = (coeffs.f_C[None, :n] * np.exp(cum_c)[None, :n]
-                              * (suffix[:, :n] + own_step) / mart[:, :n]
-                              - disc_f[None, :n])
+                              * suffix[:, :n] / mart[:, :n] - disc_f[None, :n])
 
     def rule_values(self, rule: StoppingRule) -> np.ndarray:
         """Per path, the integrand at the rule's stopping node (0 at the horizon)."""
@@ -418,6 +421,8 @@ def check_foc(curve: BoundaryCurve, y_list: Sequence[float], coeffs: Coefficient
             for rule, column in zip(rules, columns):
                 column.append(ws.rule_values(rule))
             columns[-1].append(ws.slackness_values())
+            # released before the next level's workspace is built
+            del ws
     entries = []
     slack = []
     for y, columns in zip(levels, parts):

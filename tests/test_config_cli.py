@@ -1,6 +1,8 @@
 import json
 import logging
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -189,6 +191,41 @@ class TestCliSolve:
         assert np.all(np.isfinite(yhat) & (yhat > 0))
         assert yhat[-1] < 1e-12
 
+    @staticmethod
+    def _power_model_in_units(lam, a=0.5):
+        # the README scrap with a power marginal of exponent 0.5, capacity
+        # counted in units of 1/lam: the same model, whose curve is lam times
+        # the lam = 1 curve
+        payload = json.loads(json.dumps(STOCHASTIC))
+        payload["grid"]["N"] = 10
+        payload["mc"]["paths"] = 500
+        payload["production"] = {"variant": "power_marginal", "scale": lam ** 0.5,
+                                 "exponent": 0.5}
+        payload["scrap"] = {"variant": "saturating_exponential", "a": a * lam, "b": 1.0 / lam}
+        return payload
+
+    @pytest.mark.parametrize("lam", [1e7, 1e100, 1e300])
+    def test_scrap_in_other_units_solves_to_the_scaled_curve(self, tmp_path, lam):
+        # the scrap check holds in any units: a probe of G' on a fixed window
+        # of C with absolute thresholds found it flat there from lam = 1e7 on
+        curves = []
+        for scale in (1.0, lam):
+            out = tmp_path / repr(scale)
+            cfg = write_cfg(tmp_path, self._power_model_in_units(scale), f"{scale!r}.json")
+            assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+            curves.append(read_boundary_csv(str(out / "boundary.csv")).yhat)
+        tol_y = load_config(cfg).solver.tol_rel
+        assert np.max(np.abs(curves[1] / (lam * curves[0]) - 1.0)) <= 2.0 * tol_y
+
+    @pytest.mark.parametrize("lam", [1.0, 1e300])
+    def test_scrap_marginal_above_replacement_cost_exits_3(self, tmp_path, capsys, lam):
+        # G'(0) f_C(T) = a b = 2 > 1, in any units
+        payload = self._power_model_in_units(lam, a=2.0)
+        rc = cli.main(["solve", "--config", write_cfg(tmp_path, payload),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "scrap" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section,key,value,kind", [
         ("grid", "T", 2e4, "underflow to 0"),
         ("grid", "T", 1e6, "underflow to 0"),
@@ -343,3 +380,27 @@ class TestReproducibility:
             assert cli.main(["solve", "--config", cfg, "--out", out]) == 0
             outs.append(open(os.path.join(out, "boundary.csv"), "rb").read())
         assert outs[0] == outs[1]
+
+    def test_solve_agrees_across_simd_dispatch_levels(self, tmp_path):
+        # numpy picks its SIMD kernels for the CPU at import; the AVX2 and
+        # AVX-512 ones round some sums differently, so the residual columns
+        # differ between them in their last digits (bytes are reproducible on
+        # one machine only), while the curve stays within the tolerance.  On a
+        # CPU without these features the variable changes nothing.
+        payload = json.loads(json.dumps(README_MODEL))
+        payload["grid"]["N"] = 40
+        payload["mc"]["paths"] = 4000
+        cfg = write_cfg(tmp_path, payload)
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        curves = []
+        for disabled in ("", "AVX512_SPR AVX512_ICL X86_V4"):
+            out = tmp_path / f"level{len(curves)}"
+            env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-m", "capexbound.cli", "solve", "--config", cfg,
+                                   "--out", str(out)], env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            curves.append(read_boundary_csv(str(out / "boundary.csv")).yhat)
+        tol_y = load_config(cfg).solver.tol_rel
+        assert np.max(np.abs(curves[1] / curves[0] - 1.0)) <= tol_y

@@ -27,7 +27,8 @@ def _instance(n, sigma, mu_C, w_slope, r_slope, prod):
 def _walk(coeffs, prod, scrap, cp, curve, antithetic, rel_candidates):
     """Step the block evaluator backward and compare it with a dense
     evaluator built at every node; returns the block evaluator."""
-    ev = _BatchResidual(coeffs, prod, scrap, cp, antithetic)
+    # the evaluator takes the batch node-major, as the solve draws it
+    ev = _BatchResidual(coeffs, prod, scrap, np.ascontiguousarray(cp.T), antithetic)
     n = coeffs.grid.n_steps
     # the box room by its definition: row i is the suffix minimum over steps
     # j >= i of cap_j / cp_j, with an unbounded row past the last step
@@ -139,3 +140,21 @@ def test_solve_matches_dense_power_marginal(seed, monkeypatch):
     np.testing.assert_array_equal(fast.iters, slow.iters)
     np.testing.assert_allclose(fast.values, slow.values, rtol=1e-12, atol=0.0)
     assert fast.meta["residual_evals"] == slow.meta["residual_evals"]
+
+
+def test_evaluator_holds_no_second_decay_sized_matrix():
+    # the weights W_j are kept for three nodes at a time, and the batch is
+    # taken as given, node-major: no other (N+1) x P array is ever alive
+    n, n_paths = 30, 64
+    coeffs, prod, scrap = _instance(n, 0.3, 0.1, 0.2, -0.2, cb.CobbDouglas(0.25, 0.25, 0.25))
+    cp = boundary._sample_decay(coeffs, n_paths, MEASURE_Q, 3, "solve", True, True)
+    ev = _BatchResidual(coeffs, prod, scrap, cp, True)
+    assert ev.cp is cp
+    curve = np.linspace(2.0, 1.0, n)
+    for i in range(n - 1, -1, -1):
+        ev.at(i, curve[i + 1:])
+        ev(curve[i])
+        assert ev.blocks_on and ev.dense is None
+        arrays = [a for val in vars(ev).values()
+                  for a in (val if isinstance(val, tuple) else (val,)) if isinstance(a, np.ndarray)]
+        assert all(a is cp or a.size < cp.size for a in arrays)

@@ -72,7 +72,7 @@ def test_fast_path_matches_generic_per_column_scales(varying):
     v = varying
     cp = cb.simulate(v["coeffs"], 500, cb.MEASURE_Q, seed=5).values
     values = v["curve"].values
-    ev = _BatchResidual(v["coeffs"], v["prod"], v["scrap"], cp, True)
+    ev = _BatchResidual(v["coeffs"], v["prod"], v["scrap"], np.ascontiguousarray(cp.T), True)
     for i in range(v["grid"].n_steps - 1, -1, -1):
         ev.at(i, values[i + 1:])
         if i != 7:

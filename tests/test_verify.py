@@ -3,8 +3,9 @@ import pytest
 
 import capexbound as cb
 from capexbound.boundary import BoundaryCurve, McConfig
-from capexbound.model import SyntheticMarginal
+from capexbound.model import SyntheticMarginal, cumulative_integral, discount_step_masses
 from capexbound.paths import MEASURE_P, MEASURE_Q, log_increment_moments
+from capexbound.production import power_marginal_form, reduced_marginal_array
 from capexbound.verify import (
     Lattice,
     LatticeRangeError,
@@ -295,3 +296,50 @@ class TestCheckFoc:
         rep = check_foc(curve, [0.5 * curve.values[0], 2.0 * curve.values[0]],
                         coeffs, prod, scrap, batch)
         assert rep.passed
+
+
+def _dense_integrand(ws, y, coeffs, prod, scrap, batch):
+    """The FOC integrand with the post-action marginal taken on every cell,
+    where it equals the node marginal except on the cells where the plan acts."""
+    grid = batch.grid
+    n = grid.n_steps
+    cum_c = cumulative_integral(grid, coeffs.mu_C)
+    mart = batch.values * np.exp(cum_c)[None, :]
+    mass0, term0 = discount_step_masses(grid, coeffs.bar_mu, 0)
+    marg = reduced_marginal_array(prod, ws.capacity[:, :n], coeffs.w[:n], coeffs.r[:n])
+    contrib = np.empty_like(ws.capacity)
+    contrib[:, :n] = mart[:, :n] * mass0[None, :] * marg
+    contrib[:, n] = mart[:, n] * term0 * np.asarray(scrap.marginal(ws.capacity[:, n]))
+    suffix = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1]
+    cap_plus = batch.values[:, :n] * (y + ws.plans.nubar[:, 1:])
+    marg_plus = reduced_marginal_array(prod, cap_plus, coeffs.w[:n], coeffs.r[:n])
+    own_step = mart[:, :n] * mass0[None, :] * (marg_plus - marg)
+    disc_f = np.exp(-cumulative_integral(grid, coeffs.mu_F))
+    return (coeffs.f_C[None, :n] * np.exp(cum_c)[None, :n] * (suffix[:, :n] + own_step)
+            / mart[:, :n] - disc_f[None, :n])
+
+
+# sigma = 0.4 makes the plan act at interior nodes.  A box at kappa = 5e4
+# puts the first break of the Cobb-Douglas marginal among the capacities:
+# some cells where the plan acts lie past it and some do not; at 7e4 none of
+# them does while other cells do, so the sparse post-action marginal takes the
+# interior line where the dense one took the minimum of all four
+@pytest.mark.parametrize("kappa, past", [(1e6, "none"), (5e4, "some"), (7e4, "none")])
+def test_post_action_marginal_on_acting_cells_keeps_the_integrand_bytes(kappa, past):
+    grid = cb.TimeGrid.uniform(1.0, 20)
+    coeffs = coeffs_for(grid, sigma=0.4)
+    prod = cb.CobbDouglas(0.25, 0.25, 0.25, kappa, kappa)
+    scrap = cb.SaturatingExponential(0.5, 1.0)
+    curve = cb.solve_boundary(coeffs, prod, scrap, mc=McConfig(n_paths=1000, seed=0))
+    batch = cb.simulate(coeffs, 400, MEASURE_P, seed=1)
+    cap = power_marginal_form(prod, coeffs.w[:20], coeffs.r[:20])[2]
+    y = 0.5 * curve.values[0]
+    ws = _FocWorkspace(curve, y, coeffs, prod, scrap, batch)
+    nubar = ws.plans.nubar
+    acts = nubar[:, 1:] != nubar[:, :-1]
+    assert acts[:, 1:].any()
+    beyond = batch.values[:, :20] * (y + nubar[:, 1:]) > cap
+    assert (acts & beyond).any() == (past == "some")
+    assert (acts & ~beyond).any()
+    assert (~acts & beyond).any() == (kappa < 1e6)
+    assert ws.integrand.tobytes() == _dense_integrand(ws, y, coeffs, prod, scrap, batch).tobytes()
