@@ -48,8 +48,8 @@ from .production import (
     InputChoice,
     UnsupportedVariantError,
     optimal_inputs,
-    reduced_marginal,
-    reduced_value,
+    reduced_marginal_array,
+    reduced_value_array,
 )
 from .verify import (
     FOCReport,

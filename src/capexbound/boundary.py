@@ -48,7 +48,7 @@ from .model import (
     discount_step_masses,
     validate,
 )
-from .paths import MEASURE_Q, PathBatch, _sample_decay, mean_and_se, running_sup_matrix
+from .paths import MEASURE_Q, PathBatch, mean_and_se, running_sup_matrix, sample_decay
 from .production import power_marginal_form, reduced_marginal_array
 
 
@@ -531,7 +531,7 @@ def solve_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpe
     Each node freezes one batch of changed-measure paths, brackets the root
     geometrically around the previous node's solution (1.0 at the last node)
     and bisects to relative tolerance.  Most of the bisection's signs are
-    settled by a few probes near the root extrapolated from the two later
+    settled by a few probes near the root extrapolated from the three later
     nodes, and the result is plain bisection's on the frozen batch; a NaN
     residual raises ``ConvergenceError``.  The residual at the returned
     value is then re-estimated on a fresh batch and reported with its
@@ -575,7 +575,8 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
     def evaluator(purpose):
         # _BatchResidual reports a path that overflows, so exp need not warn
         with np.errstate(over="ignore"):
-            cp = _sample_decay(coeffs, mc.n_paths, MEASURE_Q, mc.seed, purpose, antithetic, True)
+            cp = sample_decay(coeffs, mc.n_paths, MEASURE_Q, mc.seed, purpose, antithetic,
+                              by_node=True)
         return _BatchResidual(coeffs, prod, scrap, cp, antithetic)
 
     ev = evaluator("solve")
@@ -587,8 +588,9 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
         ev.at(i, yhat[i + 1:])
         nodes[i] = node = _bisect_node(ev, guess, tol_rel, i, aim, slope)
         yhat[i] = guess = node.root
-        # the next node's root, extrapolated from the last two
-        aim = 2.0 * guess - yhat[i + 1] if i + 1 < n else guess
+        # the next node's root, extrapolated from the last three, or two
+        aim = (3.0 * guess - 3.0 * yhat[i + 1] + yhat[i + 2] if i + 2 < n
+               else 2.0 * guess - yhat[i + 1] if i + 1 < n else guess)
         slope = node.slope
     _, iters, res, res_se, solver_se, value_se, _ = map(np.array, zip(*nodes))
 

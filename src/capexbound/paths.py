@@ -112,11 +112,11 @@ def mean_and_se(per_path: np.ndarray, antithetic: bool) -> tuple[float, float]:
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n))
 
 
-def _step_decay(coeffs: CoefficientSet, paths: np.ndarray, measure: str) -> np.ndarray:
-    """Exact stepping in place: ``paths`` has one row per path, zero at node
-    0 and standard normal step draws after it; the draws take the steps,
-    their running sums and then, with node 0, the exponential.  A transposed
-    view steps a node-major buffer."""
+def values_from_normals(coeffs: CoefficientSet, paths: np.ndarray, measure: str) -> np.ndarray:
+    """Decay-factor matrix, stepped in place and returned: ``paths`` has one
+    row per path, zero at node 0 and standard normal step draws after it;
+    the draws take the steps, their running sums and then, with node 0, the
+    exponential.  A transposed view steps a node-major buffer."""
     mean, var = log_increment_moments(coeffs, measure)
     steps = paths[:, 1:]
     np.multiply(np.sqrt(var), steps, out=steps)
@@ -125,17 +125,17 @@ def _step_decay(coeffs: CoefficientSet, paths: np.ndarray, measure: str) -> np.n
     return np.exp(paths, out=paths)
 
 
-def values_from_normals(coeffs: CoefficientSet, normals: np.ndarray, measure: str) -> np.ndarray:
-    """Decay-factor matrix, one row per path, from standard normal step draws
-    with one column per step."""
-    out = np.zeros((normals.shape[0], normals.shape[1] + 1))
-    out[:, 1:] = normals
-    return _step_decay(coeffs, out, measure)
+def sample_decay(coeffs: CoefficientSet, n: int, measure: str, seed: int, purpose: str,
+                 antithetic: bool, by_node: bool = False) -> np.ndarray:
+    """Decay-factor matrix from t = 0 on the stream keyed by ``purpose``, one
+    row per path, or with ``by_node`` its transpose, drawn as such.
 
-
-def _sample_decay(coeffs: CoefficientSet, n: int, measure: str, seed: int, purpose: str,
-                  antithetic: bool, by_node: bool) -> np.ndarray:
-    """``sample_decay``, or with ``by_node`` its transpose, drawn as such."""
+    With ``antithetic`` the count is rounded up to an even number and the
+    second half of the rows mirrors the Gaussian draws of the first half.
+    When sigma is identically zero every path is the same, so the matrix is
+    one row built from zero normals, with no draw, whatever ``n`` is.  Only
+    the output is full-size; the draw is half that when antithetic.
+    """
     m = coeffs.grid.n_steps
     sigma_zero = coeffs.is_sigma_zero()
     h = (n + 1) // 2 if antithetic else n
@@ -148,22 +148,8 @@ def _sample_decay(coeffs: CoefficientSet, n: int, measure: str, seed: int, purpo
         paths[:h, 1:] = gaussian_matrix(seed, purpose, (h, m))
         if antithetic:
             np.negative(paths[:h, 1:], out=paths[h:, 1:])
-    _step_decay(coeffs, paths, measure)
+    values_from_normals(coeffs, paths, measure)
     return buf
-
-
-def sample_decay(coeffs: CoefficientSet, n: int, measure: str, seed: int, purpose: str,
-                 antithetic: bool) -> np.ndarray:
-    """Decay-factor matrix from t = 0 on the stream keyed by ``purpose``, one
-    row per path.
-
-    With ``antithetic`` the count is rounded up to an even number and the
-    second half of the rows mirrors the Gaussian draws of the first half.
-    When sigma is identically zero every path is the same, so the matrix is
-    one row built from zero normals, with no draw, whatever ``n`` is.  Only
-    the output is full-size; the draw is half that when antithetic.
-    """
-    return _sample_decay(coeffs, n, measure, seed, purpose, antithetic, False)
 
 
 def simulate(coeffs: CoefficientSet, n: int, measure: str = MEASURE_P, seed: int = 0,

@@ -20,14 +20,12 @@ from .paths import MEASURE_P, PathBatch, running_sup_matrix
 from .production import reduced_value_array
 
 
-def _expenditure_from_additions(coeffs: CoefficientSet, decay: np.ndarray,
-                                nubar: np.ndarray) -> np.ndarray:
-    """Left-endpoint Stieltjes sum of decay / f_C against nubar increments."""
-    weights = decay[..., :-1] / coeffs.f_C[:-1][None, :]
-    increments = np.diff(nubar, axis=-1)
-    nu = np.zeros_like(nubar)
-    np.cumsum(weights * increments, axis=-1, out=nu[..., 1:])
-    return nu
+def _left_sum(weights: np.ndarray, ledger: np.ndarray) -> np.ndarray:
+    """Left-endpoint Stieltjes sum of per-step ``weights`` against the
+    increments of ``ledger``, zero at t = 0."""
+    out = np.zeros_like(ledger)
+    np.cumsum(weights * np.diff(ledger, axis=-1), axis=-1, out=out[..., 1:])
+    return out
 
 
 class CapacityRangeError(ValueError):
@@ -54,15 +52,17 @@ class PlanBatch:
 def build_controls(curve: BoundaryCurve, batch: PathBatch, y: float,
                    coeffs: CoefficientSet) -> PlanBatch:
     """Vectorized tracking policy over a batch of paths."""
-    # capacity >= y * decay; a product of Python floats overflows without a warning
-    if not 0.0 < float(y) * float(np.max(batch.values)) < np.inf:
+    # capacity >= y * decay, and decay starts at one, so an empty batch checks y
+    # alone; a product of Python floats overflows without a warning
+    if not 0.0 < float(y) * float(np.max(batch.values, initial=1.0)) < np.inf:
         raise CapacityRangeError(f"initial capacity {y:g} is not positive or overflows "
                                  "the controlled capacity")
     sup = running_sup_matrix(batch.values, curve.values)
     # sup is a running maximum, so the ledger is already non-decreasing
     nubar = np.concatenate([np.zeros((batch.values.shape[0], 1)),
                             np.maximum(sup - y, 0.0)], axis=1)
-    nu = _expenditure_from_additions(coeffs, batch.values, nubar)
+    # expenditure: each addition at the conversion factor decay / f_C of its left node
+    nu = _left_sum(batch.values[:, :-1] / coeffs.f_C[:-1][None, :], nubar)
     return PlanBatch(y, nubar, nu)
 
 
@@ -110,7 +110,4 @@ def constant_rate_plan(coeffs: CoefficientSet, batch, y: float, rate: float) -> 
     """Benchmark policy spending at a constant rate: nu(t) = rate * t."""
     nu = np.broadcast_to(rate * batch.grid.nodes, batch.values.shape).copy()
     # capacity additions funded by each spending increment at the left node
-    weights = coeffs.f_C[:-1][None, :] / batch.values[:, :-1]
-    nubar = np.zeros_like(nu)
-    np.cumsum(weights * np.diff(nu, axis=1), axis=1, out=nubar[:, 1:])
-    return PlanBatch(y, nubar, nu)
+    return PlanBatch(y, _left_sum(coeffs.f_C[:-1][None, :] / batch.values[:, :-1], nu), nu)

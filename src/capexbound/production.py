@@ -96,15 +96,12 @@ def _nonnegative(C) -> np.ndarray:
     return C
 
 
-def _view(C, out):
-    return out if np.ndim(C) > 0 else float(out)
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
 def reduced_value_array(prod: ProductionSpec, C: np.ndarray, w, r) -> np.ndarray:
-    """Vectorized reduced value; ``w`` and ``r`` broadcast against ``C``.
+    """Maximal profit rate at capacity C, wage w and interest r, elementwise;
+    ``w`` and ``r`` broadcast against ``C``.
 
     For the synthetic-marginal variant this is the fixed antiderivative of the
     marginal, defined up to an additive constant that no consumer depends on.
@@ -120,7 +117,8 @@ def reduced_value_array(prod: ProductionSpec, C: np.ndarray, w, r) -> np.ndarray
 
 
 def reduced_marginal_array(prod: ProductionSpec, C: np.ndarray, w, r) -> np.ndarray:
-    """Vectorized marginal; ``w`` and ``r`` broadcast against ``C``.
+    """Partial derivative of the reduced value in capacity, alpha R*/C for
+    Cobb-Douglas by the envelope theorem; ``w`` and ``r`` broadcast against ``C``.
 
     At C = 0 the Inada condition makes the value unbounded; a large sentinel
     is returned there for use in bracketing comparisons only.
@@ -142,20 +140,6 @@ def optimal_inputs(prod: ProductionSpec, C: float, w: float, r: float) -> InputC
     # min returns a capped input as its cap exactly
     return InputChoice(float(min(prod.beta * R / w, prod.kappa_L)),
                        float(min(prod.gamma * R / r, prod.kappa_K)))
-
-
-def reduced_value(prod: ProductionSpec, C, w, r):
-    """Maximal profit rate at capacity C, wage w and interest r."""
-    return _view(C, reduced_value_array(prod, C, w, r))
-
-
-def reduced_marginal(prod: ProductionSpec, C, w, r):
-    """Partial derivative of the reduced value in capacity.
-
-    By the envelope theorem this is the raw marginal product at the optimal
-    inputs, alpha R*/C for Cobb-Douglas.
-    """
-    return _view(C, reduced_marginal_array(prod, C, w, r))
 
 
 def power_marginal_form(prod: ProductionSpec, w, r):

@@ -16,7 +16,7 @@ import capexbound as cb
 from capexbound import cli
 from capexbound.boundary import McConfig, SolverConfig
 from capexbound.paths import pair_means
-from capexbound.production import reduced_marginal, reduced_value, reduced_value_array
+from capexbound.production import reduced_marginal_array, reduced_value_array
 from capexbound.verify import (
     Lattice,
     check_foc,
@@ -257,7 +257,7 @@ def test_criterion_10_reduced_production():
         r = rng.uniform(0.5, 2.0)
         h = 1e-3 * C
         fd = (oracle_value(C + h, w, r) - oracle_value(C - h, w, r)) / (2 * h)
-        closed = reduced_marginal(prod, C, w, r)
+        closed = reduced_marginal_array(prod, C, w, r)
         worst = max(worst, abs(closed - fd) / abs(fd))
     shape_ok = True
     C1 = rng.uniform(0.05, 5.0, 1000)
@@ -270,12 +270,12 @@ def test_criterion_10_reduced_production():
     for _ in range(1000):
         C = rng.uniform(0.2, 3.0)
         w1, w2, r1, r2, wf, rf = rng.uniform(0.5, 2.0, 6)
-        vw = reduced_value(prod, C, 0.5 * (w1 + w2), rf)
-        shape_ok &= vw <= 0.5 * (reduced_value(prod, C, w1, rf)
-                                 + reduced_value(prod, C, w2, rf)) + 1e-9
-        vr = reduced_value(prod, C, wf, 0.5 * (r1 + r2))
-        shape_ok &= vr <= 0.5 * (reduced_value(prod, C, wf, r1)
-                                 + reduced_value(prod, C, wf, r2)) + 1e-9
+        vw = reduced_value_array(prod, C, 0.5 * (w1 + w2), rf)
+        shape_ok &= vw <= 0.5 * (reduced_value_array(prod, C, w1, rf)
+                                 + reduced_value_array(prod, C, w2, rf)) + 1e-9
+        vr = reduced_value_array(prod, C, wf, 0.5 * (r1 + r2))
+        shape_ok &= vr <= 0.5 * (reduced_value_array(prod, C, wf, r1)
+                                 + reduced_value_array(prod, C, wf, r2)) + 1e-9
     passed = worst <= 1e-4 and shape_ok
     report(10, passed, f"worst closed-form vs finite-difference relative error "
                        f"{worst:.2e} (tol 1e-4); shape inequalities hold: {shape_ok}")

@@ -343,6 +343,23 @@ class TestBadCommandLine:
         assert not out.exists()
 
 
+def test_dump_limit_zero_writes_headers_only(solved_small, tmp_path):
+    # a limit of 0 is a valid count: no rows are listed, and the estimates
+    # are those of any other limit
+    d, cfg, _ = solved_small
+    summaries = {}
+    for limit in ("0", "100"):
+        out = tmp_path / limit
+        assert cli.main(["simulate", "--config", cfg, "--boundary",
+                         os.path.join(d, "solve", "boundary.csv"), "--y", "0.5",
+                         "--out", str(out), "--dump-paths", "--dump-limit", limit]) == 0
+        with open(out / "manifest.json") as fh:
+            summaries[limit] = json.load(fh)["summary"]
+    assert (tmp_path / "0" / "controls.csv").read_text() == "path_id,t,nubar,nu,capacity\n"
+    assert (tmp_path / "0" / "paths.csv").read_text() == "path_id,t,value,measure\n"
+    assert summaries["0"] == summaries["100"]
+
+
 def test_out_naming_a_file_exits_2(solved_small, tmp_path, capsys):
     d, cfg, _ = solved_small
     boundary = os.path.join(d, "solve", "boundary.csv")

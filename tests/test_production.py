@@ -9,9 +9,7 @@ from capexbound.production import (
     UnsupportedVariantError,
     optimal_inputs,
     power_marginal_form,
-    reduced_marginal,
     reduced_marginal_array,
-    reduced_value,
     reduced_value_array,
 )
 
@@ -112,7 +110,8 @@ class TestBoxRegimes:
         below, above = float(cap) * (1 - 1e-9), float(cap) * (1 + 1e-9)
         lk = optimal_inputs(prod, below, w, r)
         assert lk.L < kappa_L and lk.K < kappa_K
-        assert reduced_marginal(prod, below, w, r) == pytest.approx(scale * below ** q, rel=1e-12)
+        assert reduced_marginal_array(prod, below, w, r) == pytest.approx(scale * below ** q,
+                                                                          rel=1e-12)
         lk = optimal_inputs(prod, above, w, r)
         assert lk.L == kappa_L or lk.K == kappa_K
 
@@ -135,13 +134,13 @@ class TestBoxRegimes:
 
 class TestReducedValue:
     def test_zero_capacity(self):
-        assert reduced_value(CD, 0.0, 1.0, 1.0) == 0.0
+        assert reduced_value_array(CD, 0.0, 1.0, 1.0) == 0.0
         lk = optimal_inputs(CD, 0.0, 1.0, 1.0)
         assert (lk.L, lk.K) == (0.0, 0.0)
 
     def test_against_grid_oracle(self):
         # interior optimum at L = K = 256 for C = 1, w = r = 1
-        val = reduced_value(CD, 1.0, 1.0, 1.0)
+        val = reduced_value_array(CD, 1.0, 1.0, 1.0)
         _, _, oracle = grid_max(CD.raw, 1.0, 1.0, 1.0, span=1000.0)
         assert val == pytest.approx(oracle, rel=1e-5)
 
@@ -162,11 +161,11 @@ class TestReducedValue:
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            reduced_value(CD, -1.0, 1.0, 1.0)
+            reduced_value_array(CD, -1.0, 1.0, 1.0)
 
     def test_box_binding_matches_oracle(self):
         tight = CobbDouglas(0.25, 0.25, 0.25, kappa_L=100.0, kappa_K=100.0)
-        val = reduced_value(tight, 1.0, 1.0, 1.0)
+        val = reduced_value_array(tight, 1.0, 1.0, 1.0)
         _, _, oracle = grid_max(tight.raw, 1.0, 1.0, 1.0, span=100.0)
         assert val == pytest.approx(oracle, rel=1e-6)
         lk = optimal_inputs(tight, 1.0, 1.0, 1.0)
@@ -176,19 +175,20 @@ class TestReducedValue:
 class TestReducedMarginal:
     def test_closed_form_anchor(self):
         # alpha = beta = gamma = 1/4, w = r = 1, C = 1: the closed form is 16^2
-        assert reduced_marginal(CD, 1.0, 1.0, 1.0) == pytest.approx(256.0, rel=1e-12)
+        assert reduced_marginal_array(CD, 1.0, 1.0, 1.0) == pytest.approx(256.0, rel=1e-12)
 
     def test_finite_difference_of_value(self):
         h = 1e-4
-        fd = (reduced_value(CD, 1.0 + h, 1.0, 1.0) - reduced_value(CD, 1.0 - h, 1.0, 1.0)) / (2 * h)
-        assert reduced_marginal(CD, 1.0, 1.0, 1.0) == pytest.approx(fd, rel=1e-4)
+        fd = (reduced_value_array(CD, 1.0 + h, 1.0, 1.0)
+              - reduced_value_array(CD, 1.0 - h, 1.0, 1.0)) / (2 * h)
+        assert reduced_marginal_array(CD, 1.0, 1.0, 1.0) == pytest.approx(fd, rel=1e-4)
 
     def test_synthetic_direct(self):
         sm = power_marginal(1.0, 1.0)
-        assert reduced_marginal(sm, 2.0, 1.0, 1.0) == pytest.approx(0.5)
+        assert reduced_marginal_array(sm, 2.0, 1.0, 1.0) == pytest.approx(0.5)
 
     def test_strictly_decreasing_in_capacity(self):
-        assert reduced_marginal(CD, 2.0, 1.0, 1.0) < reduced_marginal(CD, 1.0, 1.0, 1.0)
+        assert reduced_marginal_array(CD, 2.0, 1.0, 1.0) < reduced_marginal_array(CD, 1.0, 1.0, 1.0)
 
     def test_envelope_identity_interior(self):
         rng = np.random.default_rng(1)
@@ -199,10 +199,10 @@ class TestReducedMarginal:
             lk = optimal_inputs(CD, C, w, r)
             a, b, g = CD.alpha, CD.beta, CD.gamma
             raw_marginal = (1.0 / (a * b * g)) * a * C ** (a - 1) * lk.L ** b * lk.K ** g
-            assert reduced_marginal(CD, C, w, r) == pytest.approx(raw_marginal, rel=1e-6)
+            assert reduced_marginal_array(CD, C, w, r) == pytest.approx(raw_marginal, rel=1e-6)
 
     def test_inada_blowup(self):
-        vals = [reduced_marginal(CD, 10.0 ** -k, 1.0, 1.0) for k in range(1, 12)]
+        vals = [reduced_marginal_array(CD, 10.0 ** -k, 1.0, 1.0) for k in range(1, 12)]
         assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
         assert vals[-1] > 1e6
 
@@ -213,7 +213,7 @@ class TestReducedMarginal:
     def test_array_matches_scalar(self):
         C = np.array([0.5, 1.0, 2.0, 7.0])
         arr = reduced_marginal_array(CD, C, 1.1, 0.9)
-        sca = [reduced_marginal(CD, c, 1.1, 0.9) for c in C]
+        sca = [reduced_marginal_array(CD, c, 1.1, 0.9) for c in C]
         assert np.allclose(arr, sca, rtol=1e-12)
 
 
@@ -233,17 +233,20 @@ class TestShapeProperties:
         for _ in range(200):
             w1, w2 = rng.uniform(0.5, 2.0, 2)
             r0 = rng.uniform(0.5, 2.0)
-            mid = reduced_value(CD, 1.0, 0.5 * (w1 + w2), r0)
-            avg = 0.5 * (reduced_value(CD, 1.0, w1, r0) + reduced_value(CD, 1.0, w2, r0))
+            mid = reduced_value_array(CD, 1.0, 0.5 * (w1 + w2), r0)
+            avg = 0.5 * (reduced_value_array(CD, 1.0, w1, r0)
+                         + reduced_value_array(CD, 1.0, w2, r0))
             assert mid <= avg + 1e-9
             r1, r2 = rng.uniform(0.5, 2.0, 2)
             w0 = rng.uniform(0.5, 2.0)
-            mid = reduced_value(CD, 1.0, w0, 0.5 * (r1 + r2))
-            avg = 0.5 * (reduced_value(CD, 1.0, w0, r1) + reduced_value(CD, 1.0, w0, r2))
+            mid = reduced_value_array(CD, 1.0, w0, 0.5 * (r1 + r2))
+            avg = 0.5 * (reduced_value_array(CD, 1.0, w0, r1)
+                         + reduced_value_array(CD, 1.0, w0, r2))
             assert mid <= avg + 1e-9
 
     def test_synthetic_antiderivative_consistency(self):
         sm = power_marginal(0.5, 2.0)
         h = 1e-5
-        fd = (reduced_value(sm, 2.0 + h, 1, 1) - reduced_value(sm, 2.0 - h, 1, 1)) / (2 * h)
-        assert fd == pytest.approx(reduced_marginal(sm, 2.0, 1, 1), rel=1e-8)
+        fd = (reduced_value_array(sm, 2.0 + h, 1, 1)
+              - reduced_value_array(sm, 2.0 - h, 1, 1)) / (2 * h)
+        assert fd == pytest.approx(reduced_marginal_array(sm, 2.0, 1, 1), rel=1e-8)

@@ -147,7 +147,7 @@ def test_evaluator_holds_no_second_decay_sized_matrix():
     # taken as given, node-major: no other (N+1) x P array is ever alive
     n, n_paths = 30, 64
     coeffs, prod, scrap = _instance(n, 0.3, 0.1, 0.2, -0.2, cb.CobbDouglas(0.25, 0.25, 0.25))
-    cp = boundary._sample_decay(coeffs, n_paths, MEASURE_Q, 3, "solve", True, True)
+    cp = sample_decay(coeffs, n_paths, MEASURE_Q, 3, "solve", True, by_node=True)
     ev = _BatchResidual(coeffs, prod, scrap, cp, True)
     assert ev.cp is cp
     curve = np.linspace(2.0, 1.0, n)

@@ -158,9 +158,9 @@ def test_time_varying_nodes_match_plain_bisection(monkeypatch):
                   cb.SaturatingExponential(0.4, 0.8), McConfig(n_paths=2000, seed=4))
 
 
-# residual evaluations, solve and audit together, that the pass-by-pass
-# replay took before each node became one walk; the walk takes no more
-EVALS_BEFORE = {"closed_form": 1042, "cobb_douglas": (145, 144, 144)}
+# residual evaluations, solve and audit together, with each node's aim
+# extrapolated from the three later roots; the walk takes no more
+EVALS_BEFORE = {"closed_form": 952, "cobb_douglas": (123, 122, 123)}
 
 
 def counted_walks(monkeypatch):

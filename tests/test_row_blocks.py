@@ -75,7 +75,10 @@ def test_decay_matrix_matches_the_stepwise_formula():
     mean, var = paths.log_increment_moments(coeffs, paths.MEASURE_Q)
     logs = np.cumsum(mean[None, :] + np.sqrt(var)[None, :] * normals, axis=1)
     expected = np.exp(np.concatenate([np.zeros((5, 1)), logs], axis=1))
-    got = paths.values_from_normals(coeffs, normals, paths.MEASURE_Q)
+    buf = np.zeros((5, 7))
+    buf[:, 1:] = normals
+    got = paths.values_from_normals(coeffs, buf, paths.MEASURE_Q)
+    assert got is buf
     assert got.tobytes() == expected.tobytes()
 
 
@@ -87,7 +90,7 @@ def test_node_major_draw_is_the_path_major_one_transposed(sigma, n, antithetic):
     coeffs = CoefficientSet.build(grid, mu_C=0.1, sigma=lambda t: sigma * (1.0 + t), f_C=1.0,
                                   mu_F=0.05, w=1.0, r=1.0)
     by_path = paths.sample_decay(coeffs, n, paths.MEASURE_Q, 4, "solve", antithetic)
-    by_node = paths._sample_decay(coeffs, n, paths.MEASURE_Q, 4, "solve", antithetic, True)
+    by_node = paths.sample_decay(coeffs, n, paths.MEASURE_Q, 4, "solve", antithetic, by_node=True)
     assert by_node.flags.c_contiguous and by_path.flags.c_contiguous
     assert by_node.T.tobytes(order="C") == by_path.tobytes()
     rows = 1 if sigma == 0.0 else n + n % 2 if antithetic else n
