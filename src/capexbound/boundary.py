@@ -179,11 +179,11 @@ class _BatchResidual:
     each record governs.
     Row ``top`` of a padded array holds every path's top, the latest and
     smallest record, so that a push compares and replaces one contiguous row;
-    the records beneath it fill rows 1..below, largest at row 1, and the
-    rows between are zero-weight padding.  Row 0 holds the two steps whose
-    window is still empty, where only the candidate counts.  An evaluation is
-    then one minimum and one weighted sum over the stack rows plus the scrap
-    term at the horizon.
+    the records beneath it fill rows 1..below, largest at row 1.  Row 0 holds
+    the two steps whose window is still empty, where only the candidate
+    counts.  An evaluation costs the paths plus the records held below their
+    tops.  The scrap term is a non-increasing marginal at no less than cp_T
+    times the top record, skipped once it is 0.0 at the lowest of these floors.
 
     The power form is only the interior marginal.  Once some path's supremum
     reaches the input box on a remaining step the batch keeps the dense
@@ -217,7 +217,7 @@ class _BatchResidual:
         self.blocks_on = False
         self.evals = 0
         self.dense_nodes = 0
-        # (mean, max) stack depth of every node that ran on blocks alone
+        # (mean, max) stack depth and tail skip of every node that ran on blocks alone
         self.depths = []
         form = power_marginal_form(prod, coeffs.w[:n], coeffs.r[:n])
         if form[1] >= 0:
@@ -266,18 +266,27 @@ class _BatchResidual:
         weight = self.scale_mass[node] * cp_i ** self.q
         self.stack_w[0] = weight + self.weights[0]
         self.weights = (weight, self.weights[0])
-        self.block_w = self.stack_w[: self.top + 1] * growth
-        self.block_q = self.stack_q[: self.top + 1]
+        self.w0 = self.stack_w[0] * growth
+        # (paths, weights, records) of rows 1..top-1 on the paths that hold them, then the top row
+        self.levels, idx = [], np.flatnonzero(self.below)
+        for d in range(1, self.top + 1):
+            held = idx if d < self.top else slice(None)
+            self.levels.append((held, self.stack_w[d, held] * growth, self.stack_q[d, held]))
+            idx = idx[self.below[idx] > d]
+        # a lone path holds every row, and einsum sums its one column in an order of its own
+        rows = slice(self.top + 1)
+        self.block = (self.stack_w[rows] * growth, self.stack_q[rows]) if cp_i.size == 1 else None
         self.cand_q = cp_i ** -self.q
         cp_T = self.cp[self.n]
         self.tail_floor = cp_T * self.top_record
         self.tail_slope = cp_T / cp_i
         self.tail_mass = growth * self.terminal0
+        self.tail_off = bool(self.scrap.marginal(self.tail_floor.min()) == 0.0)
         if self.cap is not None:
             self.room = (np.minimum(self.cap[node] / cp_i, self.room[0]), self.room[0])
         self.b_safe = np.inf if self.cap is None else float(np.min(cp_i * self.room[0]))
         depth = self.below + 1 if self.top else self.below
-        self.depths.append((float(depth.mean()), self.top))
+        self.depths.append((float(depth.mean()), self.top, self.tail_off))
 
     def _push(self, record: np.ndarray, node: int) -> None:
         rec_q = record ** self.q
@@ -329,10 +338,16 @@ class _BatchResidual:
         if not (self.blocks_on and candidate < self.b_safe):
             return self._dense().per_path(candidate)
         cand_q = self.cand_q * candidate ** self.q
-        running = np.einsum("dp,dp->p", self.block_w, np.minimum(self.block_q, cand_q))
-        tail = np.asarray(self.scrap.marginal(np.maximum(self.tail_floor, self.tail_slope * candidate)),
-                          dtype=float)
-        return running + self.tail_mass * tail
+        if self.block is None:
+            running = self.w0 * cand_q
+            for idx, w, q in self.levels:
+                running[idx] += w * np.minimum(q, cand_q[idx])
+        else:
+            running = np.einsum("dp,dp->p", self.block[0], np.minimum(self.block[1], cand_q))
+        if not self.tail_off:
+            arg = np.maximum(self.tail_floor, self.tail_slope * candidate)
+            running += self.tail_mass * np.asarray(self.scrap.marginal(arg), dtype=float)
+        return running
 
     def __call__(self, candidate: float) -> tuple[float, float]:
         if candidate <= 0:
@@ -609,6 +624,7 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
         "dense_nodes": ev.dense_nodes,
         "block_depth_mean": float(np.mean([d[0] for d in ev.depths])) if ev.depths else 0.0,
         "block_depth_max": max((d[1] for d in ev.depths), default=0),
+        "tail_skip_nodes": sum(d[2] for d in ev.depths),
     }
     # a fresh audit batch, drawn once the solve batch is released; none at sigma = 0
     del ev

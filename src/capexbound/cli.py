@@ -103,11 +103,11 @@ def cmd_solve(args) -> int:
     meta = curve.meta
     if meta["deterministic"]:
         log.info("sigma is identically zero: deterministic quadrature path")
-    log.info("solve: %d nodes, %d residual evaluations for %d bisection steps, "
-             "evaluator block/dense nodes %d/%d, block depth mean %.2f max %d",
+    log.info("solve: %d nodes, %d residual evaluations for %d bisection steps, evaluator "
+             "block/dense nodes %d/%d, block depth mean %.2f max %d, scrap tail skipped at %d",
              cfg.grid.n_steps, meta["residual_evals"], meta["bisect_steps"],
              meta["block_nodes"], meta["dense_nodes"], meta["block_depth_mean"],
-             meta["block_depth_max"])
+             meta["block_depth_max"], meta["tail_skip_nodes"])
     out_csv = os.path.join(args.out, "boundary.csv")
     artifacts.write_boundary_csv(out_csv, curve, cfg.model_hash, mc.seed)
     artifacts.write_manifest(os.path.join(args.out, "manifest.json"), {

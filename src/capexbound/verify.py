@@ -85,13 +85,14 @@ def trinomial_steps(coeffs: CoefficientSet, measure: str):
     return shifts, probs
 
 
-def _expected_next(values: np.ndarray, log_nodes: np.ndarray, shifts: np.ndarray,
-                   probs: np.ndarray) -> np.ndarray:
-    """E[next(y * xi)] by linear interpolation in log y, clamped at the edges."""
-    out = np.zeros_like(values)
-    for s in range(shifts.size):
-        out += probs[s] * np.interp(log_nodes + shifts[s], log_nodes, values)
-    return out
+def _expectation(log_nodes: np.ndarray, shifts: np.ndarray, probs: np.ndarray):
+    """slice -> E[slice(y * xi)] by linear interpolation in log y, clamped at the edges:
+    np.interp's own formula on nodes j, j1 found once, j1 = j at clamped ends and hits."""
+    x = log_nodes + shifts[:, None]
+    j = np.clip(np.searchsorted(log_nodes, x, side="right") - 1, 0, log_nodes.size - 1)
+    inner = (log_nodes[0] < x) & (x < log_nodes[-1]) & (log_nodes[j] != x)
+    j1, t, dx = j + inner, (x - log_nodes[j]) * inner, log_nodes[j + inner] - log_nodes[j] + ~inner
+    return lambda v: sum(probs[:, None] * ((v[j1] - (vj := v[j])) / dx * t + vj))
 
 
 def _backward(coeffs: CoefficientSet, lattice: Lattice, measure: str, rate: np.ndarray,
@@ -107,10 +108,13 @@ def _backward(coeffs: CoefficientSet, lattice: Lattice, measure: str, rate: np.n
                                    coeffs.r[:n, None]), (n, logy.size))
     a, b = step_discounts(lattice.grid, rate)
     shifts, probs = trinomial_steps(coeffs, measure)
+    # one expectation per distinct shift triple, shared by the slices that draw it
+    triples, which = np.unique(shifts, axis=0, return_inverse=True)
+    expect = [_expectation(logy, triple, probs) for triple in triples]
     out = np.empty((n + 1, logy.size))
     out[n] = terminal
     for i in range(n - 1, -1, -1):
-        cont = flow[i] * a[i] + b[i] * _expected_next(out[i + 1], logy, shifts[i], probs)
+        cont = flow[i] * a[i] + b[i] * expect[which[i]](out[i + 1])
         out[i] = slice_rule(i, cont)
     return out
 

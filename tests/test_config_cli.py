@@ -251,6 +251,8 @@ class TestCliSolve:
         assert len(lines) == 1
         assert lines[0].startswith("solve: 25 nodes, ")
         assert "evaluator block/dense nodes 25/0" in lines[0]
+        # a boundary below 1 keeps exp(-b C) live at every node
+        assert lines[0].endswith(", scrap tail skipped at 0")
 
 
 @pytest.fixture(scope="module")

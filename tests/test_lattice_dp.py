@@ -20,11 +20,20 @@ from capexbound.production import reduced_marginal_array, reduced_value_array
 from capexbound.verify import (
     Lattice,
     LatticeRangeError,
-    _expected_next,
+    _expectation,
     dp_stopping_value,
     dp_value,
     trinomial_steps,
 )
+
+
+def reference_expected_next(values, log_nodes, shifts, probs):
+    """E[next(y * xi)] as the DPs computed it before the gather: one
+    np.interp per shift, clamped at the edges."""
+    out = np.zeros_like(values)
+    for s in range(shifts.size):
+        out += probs[s] * np.interp(log_nodes + shifts[s], log_nodes, values)
+    return out
 
 
 def reference_step_masses(grid, rate_values, start):
@@ -57,7 +66,7 @@ def reference_stopping(coeffs, prod, scrap, lattice):
         masses, _ = reference_step_masses(grid, coeffs.bar_mu, i)
         cont = (reduced_marginal_array(prod, y, coeffs.w[i], coeffs.r[i]) * masses[0]
                 + reference_b(grid, coeffs.bar_mu, i)
-                * _expected_next(v[i + 1], logy, shifts[i], probs))
+                * reference_expected_next(v[i + 1], logy, shifts[i], probs))
         cap = 1.0 / float(coeffs.f_C[i])
         v[i] = np.minimum(cap, cont)
         contact = np.flatnonzero(v[i] >= cap * (1.0 - 1e-12))
@@ -78,7 +87,7 @@ def reference_value(coeffs, prod, scrap, lattice):
         inv_f = 1.0 / float(coeffs.f_C[i])
         gain = (reduced_value_array(prod, y, coeffs.w[i], coeffs.r[i]) * masses[0]
                 + reference_b(grid, coeffs.mu_F, i)
-                * _expected_next(V[i + 1], logy, shifts[i], probs))
+                * reference_expected_next(V[i + 1], logy, shifts[i], probs))
         score = gain - inv_f * y
         suffix = np.maximum.accumulate(score[::-1])[::-1]
         V[i] = suffix + inv_f * y
@@ -246,3 +255,20 @@ def test_truncation_edge_matches_reference():
         else:
             hi = mid
     assert raises(dp_value, lo) and not raises(dp_value, hi)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gathered_expectation_is_np_interp_bit_for_bit(seed):
+    # exact hits (a zero shift, a node spacing), interior points and clamped
+    # ends on both sides, on a geometric lattice and on an uneven one
+    rng = np.random.default_rng(seed)
+    geometric = np.linspace(-3.0, 4.0, 41)
+    uneven = np.sort(rng.uniform(-5.0, 5.0, 57))
+    probs = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
+    for logy in (geometric, uneven):
+        values = rng.standard_normal(logy.size) * 10.0 ** rng.integers(-8, 8, logy.size)
+        h = logy[1] - logy[0]
+        for shifts in ([h, 0.0, -h], [0.3, 0.01, -0.27], [50.0, -50.0, 0.0], rng.normal(0, 2, 3)):
+            shifts = np.asarray(shifts, dtype=float)
+            got = _expectation(logy, shifts, probs)(values)
+            np.testing.assert_array_equal(got, reference_expected_next(values, logy, shifts, probs))

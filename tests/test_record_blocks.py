@@ -114,7 +114,7 @@ def test_deep_stacks_ties_and_box_fallback():
     cp = sample_decay(coeffs, 1, MEASURE_Q, 0, "solve", True)
     tied = np.repeat([2.0, 1.0, 3.0], n // 3)
     ev = _walk(coeffs, prod, scrap, cp, tied, True, (0.5, 1.0, 2.0))
-    assert ev.blocks_on and max(top for _, top in ev.depths) == 2
+    assert ev.blocks_on and max(d[1] for d in ev.depths) == 2
 
     boxed = cb.CobbDouglas(0.25, 0.25, 0.25, 5.0, 5.0)
     coeffs, prod, scrap = _instance(n, 0.3, 0.1, 0.0, 0.0, boxed)
@@ -151,10 +151,92 @@ def test_evaluator_holds_no_second_decay_sized_matrix():
     ev = _BatchResidual(coeffs, prod, scrap, cp, True)
     assert ev.cp is cp
     curve = np.linspace(2.0, 1.0, n)
+    rows = 0
     for i in range(n - 1, -1, -1):
         ev.at(i, curve[i + 1:])
         ev(curve[i])
         assert ev.blocks_on and ev.dense is None
-        arrays = [a for val in vars(ev).values()
-                  for a in (val if isinstance(val, tuple) else (val,)) if isinstance(a, np.ndarray)]
-        assert all(a is cp or a.size < cp.size for a in arrays)
+        rows = max(rows, len(ev.levels))
+        assert all(a is cp or a.size < cp.size for a in _held_arrays(vars(ev).values()))
+    # the per-row path lists were among the arrays inspected
+    assert rows >= 2
+
+
+def _held_arrays(values):
+    """Every array among ``values``, also inside tuples and lists, nested."""
+    for val in values:
+        if isinstance(val, (tuple, list)):
+            yield from _held_arrays(val)
+        elif isinstance(val, np.ndarray):
+            yield val
+
+
+def _padded_per_path(ev, candidate):
+    """The evaluation over every stack row, zero-weight padding included, as
+    one einsum: the record-block sum before the rows were listed per path."""
+    rows = ev.top + 1
+    block_w = ev.stack_w[:rows] * float(ev.growth[ev.node])
+    cand_q = ev.cand_q * candidate ** ev.q
+    running = np.einsum("dp,dp->p", block_w, np.minimum(ev.stack_q[:rows], cand_q))
+    tail = ev.scrap.marginal(np.maximum(ev.tail_floor, ev.tail_slope * candidate))
+    return running + ev.tail_mass * np.asarray(tail, dtype=float)
+
+
+@pytest.mark.parametrize("n_paths", [64, 1])
+def test_listed_rows_sum_as_the_padded_stack(n_paths):
+    # an increasing curve makes every later node a record, so most paths
+    # hold stacks of different depths and the padding is most of the array;
+    # a lone path, as at sigma = 0, holds every row and einsum sums its
+    # single column in an order of its own
+    n = 40
+    coeffs, prod, scrap = _instance(n, 0.3, 0.1, 0.2, -0.2, cb.CobbDouglas(0.25, 0.25, 0.25))
+    cp = sample_decay(coeffs, 64, MEASURE_Q, 5, "solve", True, by_node=True)[:, :n_paths].copy()
+    ev = _BatchResidual(coeffs, prod, scrap, cp, True)
+    curve = np.exp(np.linspace(0.0, 3.0, n))
+    for i in range(n - 1, -1, -1):
+        ev.at(i, curve[i + 1:])
+        assert ev.blocks_on and not ev.tail_off
+        for c in curve[i] * np.array([0.01, 0.3, 1.0, 3.0, 100.0]):
+            np.testing.assert_array_equal(ev.per_path(c), _padded_per_path(ev, c))
+    depths = np.array([d[1] for d in ev.depths])
+    assert depths.max() >= 8 and (ev.below.min() < ev.top - 1 or n_paths == 1)
+
+
+def test_vanished_tail_is_skipped_bit_for_bit():
+    # the README model on a curve falling from 2000 to 1: near the horizon
+    # the floors are small and the scrap tail is live, further back
+    # exp(-b * floor) underflows to 0.0 on every path and is skipped
+    n = 30
+    grid = cb.TimeGrid.uniform(1.0, n)
+    coeffs = cb.CoefficientSet.build(grid, mu_C=0.1, sigma=0.2, f_C=1.0, mu_F=0.05, w=1.0, r=1.0)
+    prod, scrap = cb.CobbDouglas(0.25, 0.25, 0.25, 1e6, 1e6), cb.SaturatingExponential(0.5, 1.0)
+    cp = sample_decay(coeffs, 500, MEASURE_Q, 7, "solve", True, by_node=True)
+    ev = _BatchResidual(coeffs, prod, scrap, cp, True)
+    curve = np.geomspace(2000.0, 1.0, n)
+    mixed = False
+    for i in range(n - 1, -1, -1):
+        ev.at(i, curve[i + 1:])
+        skip = ev.tail_off
+        # the tail is skipped exactly when it is 0.0 at every path's floor
+        zero = np.asarray(scrap.marginal(ev.tail_floor)) == 0.0
+        assert skip == bool(zero.all())
+        mixed |= bool(zero.any() and not zero.all())
+        for c in curve[i] * np.array([1e-3, 0.5, 1.0, 2.0]):
+            got = ev.per_path(c)
+            ev.tail_off = False
+            np.testing.assert_array_equal(got, ev.per_path(c))
+            np.testing.assert_array_equal(got, _padded_per_path(ev, c))
+            ev.tail_off = skip
+    skipped = [d[2] for d in ev.depths]
+    assert any(skipped) and not all(skipped) and mixed
+
+
+def test_solve_counts_the_nodes_that_skip_the_tail():
+    grid = cb.TimeGrid.uniform(1.0, 20)
+    coeffs = cb.CoefficientSet.build(grid, mu_C=0.1, sigma=0.2, f_C=1.0, mu_F=0.05, w=1.0, r=1.0)
+    prod = cb.CobbDouglas(0.25, 0.25, 0.25, 1e6, 1e6)
+    curve = cb.solve_boundary(coeffs, prod, cb.SaturatingExponential(0.5, 1.0),
+                              mc=McConfig(n_paths=2000, seed=0))
+    # exp(-C) underflows to 0.0 once every floor is above ~745: at all but
+    # the last three nodes, where the curve falls to 647, 162 and no record
+    assert curve.meta["block_nodes"] == 20 and curve.meta["tail_skip_nodes"] == 17

@@ -5,6 +5,10 @@ Measuring capacity in units 1/lam multiplies every capacity by lam.  The
 maps below restate the README model so that its marginals at lam * C equal
 the original ones at C, so the solved curve on the same seed must be lam
 times the original, within the solver's tolerance at every node.
+
+Vanishing volatility: the stochastic solve tends to the deterministic one as
+sigma goes to 0, down to volatilities far below the doubles' resolution of
+the decay paths.
 """
 
 import numpy as np
@@ -47,3 +51,19 @@ def test_curve_in_other_units_is_the_scaled_curve(instance):
         scaled = cb.solve_boundary(*instance(lam), mc=MC).values
         dev = np.max(np.abs(scaled / (lam * base) - 1.0))
         assert dev <= 2.0 * tol_y, (lam, dev / tol_y)
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 1e-40, 1e-160])
+def test_vanishing_volatility_gives_the_deterministic_curve(sigma):
+    # the README model at N = 20; sigma = 0 solves on one path to tol_y_det
+    def readme(sigma):
+        grid = cb.TimeGrid.uniform(1.0, 20)
+        coeffs = cb.CoefficientSet.build(grid, mu_C=0.1, sigma=sigma, f_C=1.0, mu_F=0.05,
+                                         w=1.0, r=1.0)
+        prod = cb.CobbDouglas(ALPHA, BETA, GAMMA, 1e6, 1e6)
+        return coeffs, prod, cb.SaturatingExponential(0.5, 1.0)
+
+    base = cb.solve_boundary(*readme(0.0)).values
+    noisy = cb.solve_boundary(*readme(sigma), mc=McConfig(n_paths=2000, seed=0)).values
+    dev = np.max(np.abs(noisy / base - 1.0))
+    assert dev <= SolverConfig().tol_rel, dev / SolverConfig().tol_rel
