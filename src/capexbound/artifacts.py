@@ -1,7 +1,8 @@
-"""Deterministic artifact emission: CSV files with 17-significant-digit
-rendering and a JSON run manifest.  On one machine output bytes depend only
-on the config, seeds and flags, never on timing or worker count; numpy's
-SIMD kernels differ between CPUs and can move the last digits.
+"""Deterministic artifact emission: CSV rows formatted with ``'%.17g'``, 17
+significant digits that round-trip every double, and a JSON run manifest.
+On one machine output bytes depend only on the config, seeds and flags,
+never on timing or worker count; numpy's SIMD kernels differ between CPUs
+and can move the last digits.
 """
 
 from __future__ import annotations
@@ -16,31 +17,25 @@ from .boundary import BoundaryCurve
 from .model import TimeGrid
 
 
-def fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_lines(path: str, lines: list) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_boundary_csv(path: str, curve: BoundaryCurve, model_hash: str, seed: int) -> None:
-    lines = [f"# model_hash={model_hash}", f"# seed={seed}",
-             "t,yhat,residual,residual_se,iters,solver_se,value_se"]
-    t = curve.grid.nodes[:-1]
-    for i in range(t.size):
-        lines.append(",".join([fmt(t[i]), fmt(curve.values[i]), fmt(curve.residual[i]),
-                               fmt(curve.residual_se[i]), str(int(curve.iters[i])),
-                               fmt(curve.solver_se[i]), fmt(curve.value_se[i])]))
-    _write_lines(path, lines)
+    columns = (curve.grid.nodes[:-1], curve.values, curve.residual, curve.residual_se,
+               curve.iters, curve.solver_se, curve.value_se)
+    rows = zip(*(col.tolist() for col in columns))
+    _write_lines(path, [f"# model_hash={model_hash}", f"# seed={seed}",
+                        "t,yhat,residual,residual_se,iters,solver_se,value_se"]
+                 + ["%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g" % row for row in rows])
 
 
 def write_dp_boundary_csv(path: str, grid: TimeGrid, stopping: np.ndarray,
                           value: np.ndarray) -> None:
     """The contact boundaries of the stopping-value and control-value DPs."""
-    rows = zip(grid.nodes[:-1], stopping, value)
-    _write_lines(path, ["t,yhat_stopping,yhat_value"] + [",".join(map(fmt, row)) for row in rows])
+    rows = zip(grid.nodes[:-1].tolist(), stopping.tolist(), value.tolist())
+    _write_lines(path, ["t,yhat_stopping,yhat_value"] + ["%.17g,%.17g,%.17g" % row for row in rows])
 
 
 class BoundaryFileError(ValueError):
@@ -101,23 +96,21 @@ def read_boundary_csv(path: str) -> BoundaryFile:
                         value_se, meta.get("model_hash", ""), seed)
 
 
-def write_controls_csv(path: str, grid: TimeGrid, plans, capacity: np.ndarray,
-                       limit: int = 100) -> None:
-    n_dump = min(limit, plans.nubar.shape[0])
+def write_controls_csv(path: str, grid: TimeGrid, plans, capacity: np.ndarray) -> None:
+    """One row per path of ``plans`` and node of ``grid``."""
     t = grid.nodes.tolist()
     lines = ["path_id,t,nubar,nu,capacity"]
-    for p in range(n_dump):
-        # '%.17g' % x is fmt(x) for every float, one format call per row
+    for p in range(plans.nubar.shape[0]):
         rows = zip(t, plans.nubar[p].tolist(), plans.nu[p].tolist(), capacity[p].tolist())
         lines += [f"{p}," + "%.17g,%.17g,%.17g,%.17g" % row for row in rows]
     _write_lines(path, lines)
 
 
-def write_paths_csv(path: str, grid: TimeGrid, batch, limit: int = 100) -> None:
-    n_dump = min(limit, batch.values.shape[0])
+def write_paths_csv(path: str, grid: TimeGrid, batch) -> None:
+    """One row per path of ``batch`` and node of ``grid``."""
     t = grid.nodes.tolist()
     lines = ["path_id,t,value,measure"]
-    for p in range(n_dump):
+    for p in range(batch.values.shape[0]):
         lines += [f"{p}," + "%.17g,%.17g," % row + batch.measure
                   for row in zip(t, batch.values[p].tolist())]
     _write_lines(path, lines)

@@ -181,9 +181,11 @@ class _BatchResidual:
     smallest record, so that a push compares and replaces one contiguous row;
     the records beneath it fill rows 1..below, largest at row 1.  Row 0 holds
     the two steps whose window is still empty, where only the candidate
-    counts.  An evaluation costs the paths plus the records held below their
-    tops.  The scrap term is a non-increasing marginal at no less than cp_T
-    times the top record, skipped once it is 0.0 at the lowest of these floors.
+    counts.  An evaluation adds rows 1..top to row 0 in that order, each on
+    the paths that hold it, so every batch sums in one order, a lone path
+    included; it costs the paths plus the records held below their tops.
+    The scrap term is a non-increasing marginal at no less than cp_T times
+    the top record, skipped once it is 0.0 at the lowest of these floors.
 
     The power form is only the interior marginal.  Once some path's supremum
     reaches the input box on a remaining step the batch keeps the dense
@@ -273,9 +275,6 @@ class _BatchResidual:
             held = idx if d < self.top else slice(None)
             self.levels.append((held, self.stack_w[d, held] * growth, self.stack_q[d, held]))
             idx = idx[self.below[idx] > d]
-        # a lone path holds every row, and einsum sums its one column in an order of its own
-        rows = slice(self.top + 1)
-        self.block = (self.stack_w[rows] * growth, self.stack_q[rows]) if cp_i.size == 1 else None
         self.cand_q = cp_i ** -self.q
         cp_T = self.cp[self.n]
         self.tail_floor = cp_T * self.top_record
@@ -338,12 +337,9 @@ class _BatchResidual:
         if not (self.blocks_on and candidate < self.b_safe):
             return self._dense().per_path(candidate)
         cand_q = self.cand_q * candidate ** self.q
-        if self.block is None:
-            running = self.w0 * cand_q
-            for idx, w, q in self.levels:
-                running[idx] += w * np.minimum(q, cand_q[idx])
-        else:
-            running = np.einsum("dp,dp->p", self.block[0], np.minimum(self.block[1], cand_q))
+        running = self.w0 * cand_q
+        for idx, w, q in self.levels:
+            running[idx] += w * np.minimum(q, cand_q[idx])
         if not self.tail_off:
             arg = np.maximum(self.tail_floor, self.tail_slope * candidate)
             running += self.tail_mass * np.asarray(self.scrap.marginal(arg), dtype=float)
@@ -615,9 +611,6 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
         "mc": None if deterministic else asdict(mc),
         "efficiency_ok": None if report is None else report.efficiency_ok,
         "residual_evals": ev.evals,
-        # midpoints plain bisection would have evaluated, most of them
-        # settled without an evaluation
-        "bisect_steps": int(iters.sum()),
         # evaluator use on the solve batch: a dense node built the dense
         # evaluator for at least one candidate, a block node never did
         "block_nodes": len(ev.depths),

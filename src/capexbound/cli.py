@@ -33,6 +33,7 @@ from .paths import MEASURE_P, mean_and_se, row_blocks, simulate
 from .policy import (CapacityRangeError, PlanBatch, build_controls, constant_rate_plan,
                      controlled_capacity, profit, zero_plan)
 from .verify import (
+    FOC_TOL_SE,
     Lattice,
     LatticeRangeError,
     check_foc,
@@ -105,7 +106,7 @@ def cmd_solve(args) -> int:
         log.info("sigma is identically zero: deterministic quadrature path")
     log.info("solve: %d nodes, %d residual evaluations for %d bisection steps, evaluator "
              "block/dense nodes %d/%d, block depth mean %.2f max %d, scrap tail skipped at %d",
-             cfg.grid.n_steps, meta["residual_evals"], meta["bisect_steps"],
+             cfg.grid.n_steps, meta["residual_evals"], int(curve.iters.sum()),
              meta["block_nodes"], meta["dense_nodes"], meta["block_depth_mean"],
              meta["block_depth_max"], meta["tail_skip_nodes"])
     out_csv = os.path.join(args.out, "boundary.csv")
@@ -180,12 +181,11 @@ def cmd_simulate(args) -> int:
 
     artifacts.write_controls_csv(
         os.path.join(args.out, "controls.csv"), cfg.grid,
-        PlanBatch(args.y, dump(plans.nubar), dump(plans.nu)), dump(cap), limit=rows)
+        PlanBatch(args.y, dump(plans.nubar), dump(plans.nu)), dump(cap))
     outputs = ["controls.csv"]
     if args.dump_paths:
         artifacts.write_paths_csv(os.path.join(args.out, "paths.csv"), cfg.grid,
-                                  dataclasses.replace(batch, values=dump(batch.values)),
-                                  limit=rows)
+                                  dataclasses.replace(batch, values=dump(batch.values)))
         outputs.append("paths.csv")
     artifacts.write_manifest(os.path.join(args.out, "manifest.json"), {
         "command": "simulate",
@@ -246,7 +246,7 @@ def cmd_verify(args) -> int:
         "model_hash": cfg.model_hash,
         "seed": mc.seed,
         "timings": timings,
-        "tolerances": {"foc_se_units": foc.tol_se, "cross_gap": cfg.cross_gap},
+        "tolerances": {"foc_se_units": FOC_TOL_SE, "cross_gap": cfg.cross_gap},
         "checks": {
             "foc": {"passed": foc.passed, "worst_violation_se": foc.worst_violation_se,
                     "entries": [dataclasses.asdict(e) for e in foc.entries],
@@ -268,7 +268,6 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    artifacts.ensure_dir(args.out)
     if args.boundary:
         curve = _curve_from_file(args.boundary, cfg)
         lattice = _default_lattice(cfg, curve)
@@ -276,6 +275,7 @@ def cmd_oracle(args) -> int:
         lattice = cfg.lattice
     else:
         raise ConfigError("oracle needs a lattice section or a boundary file")
+    artifacts.ensure_dir(args.out)
     timings = {}
     t0 = time.perf_counter()
     with _stage(timings, "stopping_dp"):

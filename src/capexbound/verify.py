@@ -356,12 +356,15 @@ class SlackEntry:
     se: float
 
 
+# a check passes while its violation is at most FOC_TOL_SE standard errors plus FOC_ATOL
+FOC_TOL_SE = 2.0
+FOC_ATOL = 1e-9
+
+
 @dataclass(frozen=True)
 class FOCReport:
     entries: tuple
     slackness: tuple
-    tol_se: float = 2.0
-    atol: float = 1e-9
 
     def _violations(self) -> list:
         """(violation, se) per check: FOC estimates one-sided, slackness two-sided."""
@@ -370,7 +373,7 @@ class FOCReport:
 
     @property
     def passed(self) -> bool:
-        return not any(v > self.tol_se * se + self.atol for v, se in self._violations())
+        return not any(v > FOC_TOL_SE * se + FOC_ATOL for v, se in self._violations())
 
     @property
     def worst_violation_se(self) -> float:
@@ -378,9 +381,9 @@ class FOCReport:
         for v, se in self._violations():
             if se > 0:
                 worst = max(worst, v / se)
-            elif v > self.atol:
+            elif v > FOC_ATOL:
                 worst = np.inf
-        # no entry with a standard error and none beyond atol: nothing is
+        # no entry with a standard error and none beyond FOC_ATOL: nothing is
         # violated, and the report must stay finite JSON
         return 0.0 if worst == -np.inf else float(worst)
 
@@ -395,10 +398,10 @@ class FOCReport:
         return "\n".join(lines)
 
 
-def default_rule_family(curve: BoundaryCurve, n_fixed: int = 10) -> list:
+def default_rule_family(curve: BoundaryCurve) -> list:
     """Ten fixed nodes spanning the horizon plus three threshold hitters."""
     n = curve.grid.n_steps
-    nodes = np.unique(np.linspace(0, n - 1, n_fixed).round().astype(int))
+    nodes = np.unique(np.linspace(0, n - 1, 10).round().astype(int))
     rules = [StoppingRule.at_node(int(k)) for k in nodes]
     y0 = float(curve.values[0])
     for mult, label in ((0.5, "0.5x"), (1.0, "1x"), (2.0, "2x")):

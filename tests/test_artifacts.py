@@ -2,9 +2,10 @@ import numpy as np
 
 import capexbound as cb
 from capexbound.artifacts import (
-    fmt,
     read_boundary_csv,
+    write_boundary_csv,
     write_controls_csv,
+    write_dp_boundary_csv,
     write_paths_csv,
 )
 
@@ -17,7 +18,9 @@ def test_controls_csv_shape_and_values(tmp_path):
     plans = cb.zero_plan(batch, 0.5)
     cap = cb.controlled_capacity(batch.values, plans)
     path = tmp_path / "controls.csv"
-    write_controls_csv(str(path), grid, plans, cap, limit=3)
+    # the writer lists every path it is given
+    listed = cb.PlanBatch(plans.y, plans.nubar[:3], plans.nu[:3])
+    write_controls_csv(str(path), grid, listed, cap[:3])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "path_id,t,nubar,nu,capacity"
     assert len(lines) == 1 + 3 * (grid.n_steps + 1)
@@ -32,7 +35,7 @@ def test_paths_csv_carries_measure(tmp_path):
                                      mu_F=0.05, w=1.0, r=1.0)
     batch = cb.simulate(coeffs, 4, cb.MEASURE_Q, seed=1)
     path = tmp_path / "paths.csv"
-    write_paths_csv(str(path), grid, batch, limit=2)
+    write_paths_csv(str(path), grid, cb.PathBatch(grid, batch.values[:2], batch.measure))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "path_id,t,value,measure"
     assert all(ln.endswith(",Q") for ln in lines[1:])
@@ -53,7 +56,12 @@ def test_boundary_csv_comment_header_tolerates_blank_lines(tmp_path):
     assert list(b.iters) == [5, 6]
 
 
-# the row writers format whole rows with '%.17g'; the other files use fmt
+def fmt(x) -> str:
+    """One cell as the format spec renders it, the reference for the writers."""
+    return format(float(x), ".17g")
+
+
+# every writer formats whole rows with '%.17g', which renders each float as fmt
 EDGE_FLOATS = [0.0, -0.0, 1.0, -1.5, 0.1, 1.0 / 3.0, 2.0 ** -1074, -(2.0 ** -1074),
                2.2250738585072014e-308, 2.225073858507201e-308, 5e-324 * 12345,
                1.7976931348623157e308, 1e16, 1e17, 123456789012345678.0, 1e-5, 1e-4,
@@ -76,8 +84,21 @@ def test_row_writers_format_every_cell_with_fmt(tmp_path):
         ",".join([str(p), fmt(grid.nodes[k]), fmt(plans.nubar[p, k]), fmt(plans.nu[p, k]),
                   fmt(cap[p, k])]) for p in range(2) for k in range(cells.size)]
     assert (tmp_path / "c.csv").read_text() == "\n".join(expected) + "\n"
-    batch = cb.PathBatch(grid, cap, cb.MEASURE_Q)
-    write_paths_csv(str(tmp_path / "p.csv"), grid, batch, limit=1)
+    write_paths_csv(str(tmp_path / "p.csv"), grid, cb.PathBatch(grid, cap[:1], cb.MEASURE_Q))
     expected = ["path_id,t,value,measure"] + [
         ",".join(["0", fmt(grid.nodes[k]), fmt(cap[0, k]), "Q"]) for k in range(cells.size)]
     assert (tmp_path / "p.csv").read_text() == "\n".join(expected) + "\n"
+    grid = cb.TimeGrid.uniform(1.0, cells.size)
+    iters = 2 ** 62 + np.arange(cells.size)
+    curve = cb.BoundaryCurve(grid, cells, -cells, cells[::-1], -cells[::-1], iters, 0.5 * cells)
+    write_boundary_csv(str(tmp_path / "b.csv"), curve, "h", 3)
+    expected = ["# model_hash=h", "# seed=3", "t,yhat,residual,residual_se,iters,solver_se,value_se"]
+    expected += [",".join([fmt(grid.nodes[k]), fmt(cells[k]), fmt(-cells[k]), fmt(cells[::-1][k]),
+                           str(iters[k]), fmt(-cells[::-1][k]), fmt(0.5 * cells[k])])
+                 for k in range(cells.size)]
+    assert (tmp_path / "b.csv").read_text() == "\n".join(expected) + "\n"
+    write_dp_boundary_csv(str(tmp_path / "d.csv"), grid, -cells, cells[::-1])
+    expected = ["t,yhat_stopping,yhat_value"] + [
+        ",".join([fmt(grid.nodes[k]), fmt(-cells[k]), fmt(cells[::-1][k])])
+        for k in range(cells.size)]
+    assert (tmp_path / "d.csv").read_text() == "\n".join(expected) + "\n"

@@ -93,6 +93,21 @@ class TestBadBoundaryFile:
             (tmp_path / "boundary.csv").write_text(content)
         assert run_consumers(tmp_path, cfg, boundary) == [5, 5, 5]
 
+    # the boundary is read before --out is made, so an unreadable one exits 5
+    # whether --out names a file or a new directory, and leaves nothing behind
+    @pytest.mark.parametrize("command", ["simulate", "verify", "oracle"])
+    def test_is_read_before_out_is_made(self, tmp_path, command):
+        cfg = write_cfg(tmp_path, SMALL)
+        boundary = tmp_path / "boundary.csv"
+        boundary.write_text("t,yhat,residual,residual_se,iters\n0,x,0,0,1\n")
+        extra = ["--y", "0.5"] if command == "simulate" else []
+        taken, fresh = tmp_path / "taken", tmp_path / "fresh"
+        taken.write_text("keep")
+        for out in (taken, fresh):
+            assert cli.main([command, "--config", cfg, "--boundary", str(boundary),
+                             "--out", str(out)] + extra) == 5, out.name
+        assert taken.read_text() == "keep" and not fresh.exists()
+
     def test_non_positive_boundary_value_exits_5(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL)
         rc, boundary = solve(tmp_path, cfg)
@@ -203,6 +218,35 @@ class TestBadConfig:
         assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"unknown keys ['{key}']" in capsys.readouterr().err
 
+    # each error reached by no other test but the fuzz, by chance: (command,
+    # config text or None for a missing file, the message after "config error: ")
+    @pytest.mark.parametrize("command,text,message", [
+        ("solve", None, "cannot read config: "),
+        ("solve", '{"grid": ', "config is not valid JSON: line 1, column 10"),
+        ("solve", "[1, 2]", "config root must be an object"),
+        ("solve", {"grid": {"T": -1, "N": 4}}, "grid: horizon must be positive"),
+        ("solve", {"grid": {"T": 1.0, "N": 0}}, "grid: need at least one step"),
+        ("solve", {"coefficients": dict(SMALL["coefficients"], mu_C=float("nan"))},
+         "coefficients: non-finite values in coefficient 'mu_C'"),
+        ("solve", {"coefficients": dict(SMALL["coefficients"], sigma=[0.1] * 4 + [float("inf")])},
+         "coefficients: non-finite values in coefficient 'sigma'"),
+        ("solve", {"production": {"variant": "leontief"}}, "production: unknown variant 'leontief'"),
+        ("oracle", {"lattice": None}, "oracle needs a lattice section or a boundary file"),
+    ], ids=["unreadable", "invalid-json", "non-object-root", "negative-T", "zero-N", "nan-coeff",
+            "inf-in-coeff-array", "unknown-variant", "oracle-without-lattice"])
+    def test_config_errors_exit_2_with_their_message(self, tmp_path, capsys, command, text,
+                                                      message):
+        path = tmp_path / "cfg.json"
+        if isinstance(text, dict):
+            cfg = dict(SMALL, **text)
+            text = json.dumps({k: v for k, v in cfg.items() if v is not None})
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
     def test_out_of_range_command_line_overrides_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL)
         assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
@@ -268,19 +312,46 @@ README_N20 = {
 }
 
 
-def test_verify_outcomes_pinned(tmp_path):
-    cfg = write_cfg(tmp_path, README_N20)
+# the same table for SCRAP_MODEL, the README model with scrap a = 2.5e4 and
+# b = 2e-5 (G'(0) = 0.5 as before), whose scrap carries about 15% of the
+# profit where the README scrap carries none; seed 1 fails by the same defect
+SCRAP_MODEL_N20 = dict(README_N20, scrap={"variant": "saturating_exponential",
+                                          "a": 2.5e4, "b": 2e-5})
+SCRAP_VERIFY_OUTCOMES = {
+    0: (0, 0.07989803249350867), 1: (6, 3.368167932882249),
+    2: (0, 0.23569703012073598), 3: (0, 1.1270190412750853),
+    4: (0, 0.24105232342805624), 5: (0, 0.3645410795441842),
+    6: (0, 1.2088255058885318), 7: (0, 0.17515134975867983),
+    8: (0, 1.4215338721591693), 9: (0, 0.6460126279015459),
+    10: (0, 1.6777803201877504), 11: (0, 0.49787539664563896),
+    12: (0, 1.676603221600626), 13: (0, 1.2569152640128982),
+    14: (0, 0.029414061110629545), 15: (0, 1.1149852294914373),
+    16: (0, 1.581886179239935), 17: (0, 0.4035751131178889),
+    18: (0, 0.09969012050193497), 19: (0, 1.42606502070869),
+}
+
+
+def _assert_verify_outcomes(tmp_path, config, table):
+    cfg = write_cfg(tmp_path, config)
     outcomes = {}
-    for seed in VERIFY_OUTCOMES:
+    for seed in table:
         out = tmp_path / str(seed)
         assert cli.main(["solve", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == 0
         rc = cli.main(["verify", "--config", cfg, "--boundary", str(out / "boundary.csv"),
                        "--out", str(out / "ver"), "--seed", str(seed)])
         with open(out / "ver" / "report.json") as fh:
             outcomes[seed] = (rc, json.load(fh)["checks"]["foc"]["worst_violation_se"])
-    assert {s: o[0] for s, o in outcomes.items()} == {s: o[0] for s, o in VERIFY_OUTCOMES.items()}
+    assert {s: o[0] for s, o in outcomes.items()} == {s: o[0] for s, o in table.items()}
     for seed, (_, z) in outcomes.items():
-        assert z == pytest.approx(VERIFY_OUTCOMES[seed][1], rel=1e-9, abs=0.0), seed
+        assert z == pytest.approx(table[seed][1], rel=1e-9, abs=0.0), seed
+
+
+def test_verify_outcomes_pinned(tmp_path):
+    _assert_verify_outcomes(tmp_path, README_N20, VERIFY_OUTCOMES)
+
+
+def test_scrap_model_verify_outcomes_pinned(tmp_path):
+    _assert_verify_outcomes(tmp_path, SCRAP_MODEL_N20, SCRAP_VERIFY_OUTCOMES)
 
 
 def _reject_constant(name):

@@ -178,16 +178,32 @@ def _padded_per_path(ev, candidate):
     block_w = ev.stack_w[:rows] * float(ev.growth[ev.node])
     cand_q = ev.cand_q * candidate ** ev.q
     running = np.einsum("dp,dp->p", block_w, np.minimum(ev.stack_q[:rows], cand_q))
+    return running + _tail(ev, candidate)
+
+
+def _row_by_row_per_path(ev, candidate):
+    """The same rows added to row 0 one at a time, padding included: a
+    padding row adds +0.0, so on every path this is the order of the listed
+    rows."""
+    block_w = ev.stack_w[:ev.top + 1] * float(ev.growth[ev.node])
+    cand_q = ev.cand_q * candidate ** ev.q
+    running = block_w[0] * np.minimum(ev.stack_q[0], cand_q)
+    for w, q in zip(block_w[1:], ev.stack_q[1:ev.top + 1]):
+        running = running + w * np.minimum(q, cand_q)
+    return running + _tail(ev, candidate)
+
+
+def _tail(ev, candidate):
     tail = ev.scrap.marginal(np.maximum(ev.tail_floor, ev.tail_slope * candidate))
-    return running + ev.tail_mass * np.asarray(tail, dtype=float)
+    return ev.tail_mass * np.asarray(tail, dtype=float)
 
 
 @pytest.mark.parametrize("n_paths", [64, 1])
 def test_listed_rows_sum_as_the_padded_stack(n_paths):
     # an increasing curve makes every later node a record, so most paths
     # hold stacks of different depths and the padding is most of the array;
-    # a lone path, as at sigma = 0, holds every row and einsum sums its
-    # single column in an order of its own
+    # a lone path, as at sigma = 0, holds every row and sums them in the same
+    # order, where einsum over its single column may round differently
     n = 40
     coeffs, prod, scrap = _instance(n, 0.3, 0.1, 0.2, -0.2, cb.CobbDouglas(0.25, 0.25, 0.25))
     cp = sample_decay(coeffs, 64, MEASURE_Q, 5, "solve", True, by_node=True)[:, :n_paths].copy()
@@ -197,7 +213,10 @@ def test_listed_rows_sum_as_the_padded_stack(n_paths):
         ev.at(i, curve[i + 1:])
         assert ev.blocks_on and not ev.tail_off
         for c in curve[i] * np.array([0.01, 0.3, 1.0, 3.0, 100.0]):
-            np.testing.assert_array_equal(ev.per_path(c), _padded_per_path(ev, c))
+            got = ev.per_path(c)
+            np.testing.assert_array_equal(got, _row_by_row_per_path(ev, c))
+            if n_paths > 1:
+                np.testing.assert_array_equal(got, _padded_per_path(ev, c))
     depths = np.array([d[1] for d in ev.depths])
     assert depths.max() >= 8 and (ev.below.min() < ev.top - 1 or n_paths == 1)
 
