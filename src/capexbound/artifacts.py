@@ -3,6 +3,9 @@ significant digits that round-trip every double, and a JSON run manifest.
 On one machine output bytes depend only on the config, seeds and flags,
 never on timing or worker count; numpy's SIMD kernels differ between CPUs
 and can move the last digits.
+
+Every writer makes the directory it writes into, so a command that fails
+before its first write leaves no output directory behind.
 """
 
 from __future__ import annotations
@@ -10,25 +13,34 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import namedtuple
 
 import numpy as np
 
 from .boundary import BoundaryCurve
 from .model import TimeGrid
 
+# boundary.csv's columns, in the order written; the reader finds each by its
+# header name
+BOUNDARY_COLUMNS = ("t", "yhat", "residual", "residual_se", "iters", "solver_se", "value_se")
+
+BoundaryFile = namedtuple("BoundaryFile", BOUNDARY_COLUMNS + ("model_hash", "seed"))
+
 
 def _write_lines(path: str, lines: list) -> None:
+    ensure_dir(os.path.dirname(path))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_boundary_csv(path: str, curve: BoundaryCurve, model_hash: str, seed: int) -> None:
-    columns = (curve.grid.nodes[:-1], curve.values, curve.residual, curve.residual_se,
-               curve.iters, curve.solver_se, curve.value_se)
+    # every column after t and yhat is the curve attribute of its name
+    columns = (curve.grid.nodes[:-1], curve.values,
+               *(getattr(curve, name) for name in BOUNDARY_COLUMNS[2:]))
+    row = ",".join("%d" if name == "iters" else "%.17g" for name in BOUNDARY_COLUMNS)
     rows = zip(*(col.tolist() for col in columns))
-    _write_lines(path, [f"# model_hash={model_hash}", f"# seed={seed}",
-                        "t,yhat,residual,residual_se,iters,solver_se,value_se"]
-                 + ["%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g" % row for row in rows])
+    _write_lines(path, [f"# model_hash={model_hash}", f"# seed={seed}", ",".join(BOUNDARY_COLUMNS)]
+                 + [row % cells for cells in rows])
 
 
 def write_dp_boundary_csv(path: str, grid: TimeGrid, stopping: np.ndarray,
@@ -42,58 +54,46 @@ class BoundaryFileError(ValueError):
     """A boundary file is missing, malformed, or belongs to another model or grid."""
 
 
-class BoundaryFile:
-    def __init__(self, t, yhat, residual, residual_se, iters, solver_se, value_se,
-                 model_hash, seed):
-        self.t = t
-        self.yhat = yhat
-        self.residual = residual
-        self.residual_se = residual_se
-        self.iters = iters
-        self.solver_se = solver_se
-        self.value_se = value_se
-        self.model_hash = model_hash
-        self.seed = seed
-
-
 def read_boundary_csv(path: str) -> BoundaryFile:
-    """The curve's columns; files older than ``solver_se`` and ``value_se``
-    read them as zeros."""
+    """The ``BOUNDARY_COLUMNS`` of a boundary file, each read by its name in the
+    header, the first line that is neither blank nor a ``#`` comment; files
+    older than ``solver_se`` and ``value_se`` read them as zeros."""
     meta = {}
-    header = []
-    rows = []
+    lines = []
     try:
         with open(path) as fh:
             for line in fh:
                 line = line.strip()
-                if not line:
-                    continue
                 if line.startswith("#"):
                     key, _, val = line[1:].strip().partition("=")
                     meta[key.strip()] = val.strip()
-                elif line.startswith("t,"):
-                    header = line.split(",")
-                else:
-                    rows.append(line.split(","))
+                elif line:
+                    lines.append(line.split(","))
+        header, *rows = lines or [[]]
         data = np.asarray(rows, dtype=float)
-        t, yhat, residual, residual_se, iters = (data[:, k] for k in range(5))
-        solver_se, value_se = (data[:, header.index(name)] if name in header
-                               else np.zeros_like(t) for name in ("solver_se", "value_se"))
+        cols = {}
+        for name in BOUNDARY_COLUMNS:
+            if name in header:
+                cols[name] = data[:, header.index(name)]
+            elif name in ("solver_se", "value_se"):
+                cols[name] = np.zeros(len(data))
+            else:
+                raise ValueError(f"no {name} column in the header")
         seed = int(meta.get("seed", 0))
     except (OSError, ValueError, IndexError) as exc:
         raise BoundaryFileError(f"cannot read boundary file {path}: {exc}") from exc
+    yhat, iters = cols["yhat"], cols["iters"]
     # every comparison is False on NaN
     checks = [("yhat", "positive and finite", (yhat > 0) & (yhat < np.inf)),
               ("iters", "a count", (iters >= 0) & (iters < 2.0 ** 63) & (iters == np.floor(iters))),
-              ("residual", "finite", np.isfinite(residual))]
-    checks += [(name, "finite and not negative", (col >= 0) & (col < np.inf))
-               for name, col in (("residual_se", residual_se), ("solver_se", solver_se),
-                                 ("value_se", value_se))]
+              ("residual", "finite", np.isfinite(cols["residual"]))]
+    checks += [(name, "finite and not negative", (cols[name] >= 0) & (cols[name] < np.inf))
+               for name in ("residual_se", "solver_se", "value_se")]
     for name, rule, ok in checks:
         if not np.all(ok):
             raise BoundaryFileError(f"{path}: every {name} must be {rule}")
-    return BoundaryFile(t, yhat, residual, residual_se, iters.astype(int), solver_se,
-                        value_se, meta.get("model_hash", ""), seed)
+    cols["iters"] = iters.astype(int)
+    return BoundaryFile(**cols, model_hash=meta.get("model_hash", ""), seed=seed)
 
 
 def write_controls_csv(path: str, grid: TimeGrid, plans, capacity: np.ndarray) -> None:
@@ -118,6 +118,7 @@ def write_paths_csv(path: str, grid: TimeGrid, batch) -> None:
 
 def write_manifest(path: str, manifest: dict) -> None:
     """Strict JSON: a non-finite float is written as null."""
+    ensure_dir(os.path.dirname(path))
     with open(path, "w") as fh:
         json.dump(_jsonable(manifest), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
@@ -136,4 +137,4 @@ def _jsonable(obj):
 
 
 def ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
+    os.makedirs(path or os.curdir, exist_ok=True)

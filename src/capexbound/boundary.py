@@ -560,7 +560,7 @@ def solve_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpe
         raise AssumptionError(
             "scrap marginal is not strictly decreasing; pass allow_zero_scrap "
             "to solve in the zero-scrap limit")
-    return _solve_backward(coeffs, prod, scrap, mc, solver, report)
+    return _solve_backward(coeffs, prod, scrap, mc, solver)
 
 
 def deterministic_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
@@ -572,8 +572,7 @@ def deterministic_boundary(coeffs: CoefficientSet, prod: ProductionSpec, scrap: 
     return solve_boundary(coeffs, prod, scrap, solver=solver, allow_zero_scrap=allow_zero_scrap)
 
 
-def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
-                    report) -> BoundaryCurve:
+def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig) -> BoundaryCurve:
     """Backward induction over node-major decay matrices of ``sample_decay``."""
     grid = coeffs.grid
     n = grid.n_steps
@@ -609,7 +608,6 @@ def _solve_backward(coeffs, prod, scrap, mc: McConfig, solver: SolverConfig,
         "tol_rel": tol_rel,
         "deterministic": deterministic,
         "mc": None if deterministic else asdict(mc),
-        "efficiency_ok": None if report is None else report.efficiency_ok,
         "residual_evals": ev.evals,
         # evaluator use on the solve batch: a dense node built the dense
         # evaluator for at least one candidate, a block node never did

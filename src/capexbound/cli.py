@@ -96,7 +96,6 @@ def _curve_from_file(path: str, cfg: RunConfig) -> BoundaryCurve:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     mc = _mc(cfg, args)
-    artifacts.ensure_dir(args.out)
     t0 = time.perf_counter()
     curve = solve_boundary(cfg.coeffs, cfg.production, cfg.scrap, mc=mc,
                            solver=cfg.solver, allow_zero_scrap=args.allow_zero_scrap)
@@ -135,7 +134,6 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     curve = _curve_from_file(args.boundary, cfg)
     mc = _mc(cfg, args)
-    artifacts.ensure_dir(args.out)
     timings = {}
     t0 = time.perf_counter()
     with _stage(timings, "paths"):
@@ -220,7 +218,6 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     curve = _curve_from_file(args.boundary, cfg)
     mc = _mc(cfg, args)
-    artifacts.ensure_dir(args.out)
     report = validate(cfg.coeffs, cfg.production, cfg.scrap)
     timings = {}
     t0 = time.perf_counter()
@@ -275,7 +272,6 @@ def cmd_oracle(args) -> int:
         lattice = cfg.lattice
     else:
         raise ConfigError("oracle needs a lattice section or a boundary file")
-    artifacts.ensure_dir(args.out)
     timings = {}
     t0 = time.perf_counter()
     with _stage(timings, "stopping_dp"):

@@ -156,7 +156,10 @@ class CoefficientSet:
 
     def __post_init__(self):
         for name in ("mu_C", "sigma", "f_C", "mu_F", "w", "r"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+            vals = _freeze(getattr(self, name))
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"non-finite values in coefficient '{name}'")
+            object.__setattr__(self, name, vals)
 
     @classmethod
     def build(cls, grid: TimeGrid, *, mu_C: FunctionLike, sigma: FunctionLike,
@@ -165,9 +168,6 @@ class CoefficientSet:
         arrs = {name: sample_on_grid(grid, spec)
                 for name, spec in (("mu_C", mu_C), ("sigma", sigma), ("f_C", f_C),
                                    ("mu_F", mu_F), ("w", w), ("r", r))}
-        for name, vals in arrs.items():
-            if not np.all(np.isfinite(vals)):
-                raise ValueError(f"non-finite values in coefficient '{name}'")
         return cls(grid=grid, **arrs)
 
     @property
@@ -362,14 +362,10 @@ def validate(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec) -> 
 
     Hard checks gate solvability; the efficiency check only gates the
     monotonicity claims on the boundary and is reported separately.
-    Raises ValueError on non-finite inputs, everything else lands in the
-    report.  Side-effect free and idempotent.
+    Every outcome lands in the report: a ``CoefficientSet`` holds finite
+    samples only.  Side-effect free and idempotent.
     """
     from . import production as production_mod
-
-    for name in ("mu_C", "sigma", "f_C", "mu_F", "w", "r"):
-        if not np.all(np.isfinite(getattr(coeffs, name))):
-            raise ValueError(f"non-finite values in coefficient '{name}'")
 
     checks = []
 

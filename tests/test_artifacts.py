@@ -2,6 +2,7 @@ import numpy as np
 
 import capexbound as cb
 from capexbound.artifacts import (
+    BOUNDARY_COLUMNS,
     read_boundary_csv,
     write_boundary_csv,
     write_controls_csv,
@@ -54,6 +55,42 @@ def test_boundary_csv_comment_header_tolerates_blank_lines(tmp_path):
     assert b.seed == 3
     assert np.allclose(b.yhat, [1.0, 0.75])
     assert list(b.iters) == [5, 6]
+
+
+def _solved_curve():
+    grid = cb.TimeGrid.uniform(1.0, 6)
+    coeffs = cb.CoefficientSet.build(grid, mu_C=0.1, sigma=0.2, f_C=1.0,
+                                     mu_F=0.05, w=1.0, r=1.0)
+    return cb.solve_boundary(coeffs, cb.CobbDouglas(0.25, 0.25, 0.25),
+                             cb.SaturatingExponential(0.5, 1.0), mc=cb.McConfig(n_paths=200))
+
+
+def test_boundary_header_is_the_column_list(tmp_path, monkeypatch):
+    # a bare file name writes into the working directory
+    monkeypatch.chdir(tmp_path)
+    write_boundary_csv("b.csv", _solved_curve(), "h", 0)
+    p = tmp_path / "b.csv"
+    assert p.read_text().splitlines()[2] == ",".join(BOUNDARY_COLUMNS)
+    assert read_boundary_csv(str(p))._fields == BOUNDARY_COLUMNS + ("model_hash", "seed")
+
+
+def test_boundary_columns_are_read_by_name(tmp_path):
+    p = tmp_path / "b.csv"
+    write_boundary_csv(str(p), _solved_curve(), "h", 0)
+    lines = p.read_text().splitlines()
+    # residual and residual_se swapped, in the header and in every row
+    swapped = lines[:2]
+    for line in lines[2:]:
+        cells = line.split(",")
+        cells[2], cells[3] = cells[3], cells[2]
+        swapped.append(",".join(cells))
+    assert swapped[2].startswith("t,yhat,residual_se,residual,")
+    q = tmp_path / "swapped.csv"
+    q.write_text("\n".join(swapped) + "\n")
+    want, got = read_boundary_csv(str(p)), read_boundary_csv(str(q))
+    assert np.any(want.residual != want.residual_se)
+    for name in BOUNDARY_COLUMNS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def fmt(x) -> str:

@@ -168,7 +168,7 @@ class TestSolveBoundary:
         # below the assumption gate, which rejects a marginal without Inada
         with pytest.raises(BracketError):
             boundary._solve_backward(coeffs, flat, cb.ZeroScrap(), McConfig(),
-                                     boundary.SolverConfig(), report=None)
+                                     boundary.SolverConfig())
 
     def test_monotone_under_efficiency(self):
         grid = cb.TimeGrid.uniform(1.0, 30)
@@ -177,8 +177,8 @@ class TestSolveBoundary:
                                          mu_F=0.05, w=1.0, r=1.0)
         prod = cb.CobbDouglas(0.25, 0.25, 0.25)
         scrap = cb.SaturatingExponential(0.5, 1.0)
+        assert cb.validate(coeffs, prod, scrap).efficiency_ok
         curve = cb.solve_boundary(coeffs, prod, scrap, mc=McConfig(n_paths=4000, seed=5))
-        assert curve.meta["efficiency_ok"]
         # generous per-node slack for Monte-Carlo root noise
         slack = 2.0 * curve.values[:-1] * 1e-3
         assert np.all(np.diff(curve.values) <= slack)

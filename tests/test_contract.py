@@ -93,7 +93,7 @@ class TestBadBoundaryFile:
             (tmp_path / "boundary.csv").write_text(content)
         assert run_consumers(tmp_path, cfg, boundary) == [5, 5, 5]
 
-    # the boundary is read before --out is made, so an unreadable one exits 5
+    # --out is made by the first write, so an unreadable boundary exits 5
     # whether --out names a file or a new directory, and leaves nothing behind
     @pytest.mark.parametrize("command", ["simulate", "verify", "oracle"])
     def test_is_read_before_out_is_made(self, tmp_path, command):
@@ -107,6 +107,24 @@ class TestBadBoundaryFile:
             assert cli.main([command, "--config", cfg, "--boundary", str(boundary),
                              "--out", str(out)] + extra) == 5, out.name
         assert taken.read_text() == "keep" and not fresh.exists()
+
+    # the columns are read by their header names, so a header that renames a
+    # required one, or a file without a header, reads as no boundary at all
+    @pytest.mark.parametrize("column", ["t", "yhat", "residual", "residual_se", "iters", None])
+    def test_missing_required_column_exits_5(self, solved_small, tmp_path, capsys, column):
+        _, cfg, lines = solved_small
+        if column is None:
+            lines = lines[:2] + lines[3:]
+            column = "t"
+        else:
+            lines = list(lines)
+            lines[2] = lines[2].replace(column, "renamed", 1)
+        boundary = tmp_path / "boundary.csv"
+        boundary.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_consumers(tmp_path, cfg, str(boundary)) == [5, 5, 5]
+        assert capsys.readouterr().err.count(f"no {column} column in the header") == 3
+        assert not any((tmp_path / out).exists() for out in ("sim", "ver", "orc"))
 
     def test_non_positive_boundary_value_exits_5(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL)
@@ -442,6 +460,31 @@ def test_out_naming_a_file_exits_2(solved_small, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 4 and all(line.startswith("cannot write outputs: ") for line in err)
     assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize("argv,config,code", [
+    (["solve"], {"coefficients": dict(SMALL["coefficients"], sigma=-0.2)}, 3),
+    # the decay paths overflow: the solver does not converge
+    (["solve"], {"grid": {"T": 1.0, "N": 10},
+                 "coefficients": dict(SMALL["coefficients"], sigma=1e3)}, 4),
+    (["simulate", "--y", "1.7e308"], {}, 2),
+    (["verify", "--y", "1.7e308"], {}, 2),
+    # the optimal install hits the top lattice node
+    (["oracle"], {"lattice": {"y_min": 1, "y_max": 2, "nodes": 11}}, 2),
+], ids=["negative-sigma", "decay-overflow", "simulate-huge-y", "verify-huge-y",
+        "oracle-lattice-top"])
+def test_failed_command_leaves_no_out(solved_small, tmp_path, argv, config, code):
+    # --out is made by the first write, so a command that fails before it
+    # exits with its own code, also when --out names a file, and leaves nothing
+    d, _, _ = solved_small
+    cfg = write_cfg(tmp_path, dict(SMALL, **config))
+    if argv[0] in ("simulate", "verify"):
+        argv = argv + ["--boundary", os.path.join(d, "solve", "boundary.csv")]
+    taken, fresh = tmp_path / "taken", tmp_path / "fresh"
+    taken.write_text("keep")
+    for out in (taken, fresh):
+        assert cli.main([*argv, "--config", cfg, "--out", str(out)]) == code, out.name
+    assert taken.read_text() == "keep" and not fresh.exists()
 
 
 # ---------------------------------------------------------------------------
