@@ -45,8 +45,7 @@ def main():
     print(f"first-order conditions: {'PASS' if foc.passed else 'FAIL'} "
           f"(worst {foc.worst_violation_se:.2f} se units)")
 
-    lattice = Lattice.geometric(grid, curve.values.min() / 8.0,
-                                curve.values.max() * 4.0, 200)
+    lattice = Lattice.geometric(curve.values.min() / 8.0, curve.values.max() * 4.0, 200)
     sdp = dp_stopping_value(coeffs, prod, scrap, lattice)
     cross = cross_validate(curve, sdp)
     print(f"lattice oracle boundary gap: {cross.sup_rel_gap:.1%} sup-relative")

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Commands: solve, simulate, verify, oracle.  Exit codes form a stable
-contract: 0 success, 2 config parse error or unwritable output, 3 assumption
-violation, 4 solver non-convergence, 5 unreadable boundary file or grid or
+contract: 0 success, 2 config parse error, unwritable output or a run too
+large to allocate, 3 assumption violation, 4 solver non-convergence, 5 unreadable boundary file or grid or
 hash mismatch, 6 verification failure.
 Set CAPEX_LOG to DEBUG/INFO/WARNING for progress on stderr.
 """
@@ -77,7 +77,7 @@ def _log_stages(command: str, timings: dict) -> None:
 def _mc(cfg: RunConfig, args) -> McConfig:
     seed = cfg.mc.seed if getattr(args, "seed", None) is None else args.seed
     paths = cfg.mc.n_paths if getattr(args, "paths", None) is None else args.paths
-    return checked_mc(paths, seed, cfg.mc.antithetic)
+    return checked_mc(paths, seed, cfg.mc.antithetic, cfg.coeffs.grid.n_steps)
 
 
 def _curve_from_file(path: str, cfg: RunConfig) -> BoundaryCurve:
@@ -87,9 +87,10 @@ def _curve_from_file(path: str, cfg: RunConfig) -> BoundaryCurve:
         raise artifacts.BoundaryFileError(
             "boundary file was produced from a different model "
             f"(hash {bfile.model_hash[:12]} vs {cfg.model_hash[:12]})")
-    if bfile.t.size != cfg.grid.n_steps or not np.allclose(bfile.t, cfg.grid.nodes[:-1]):
+    grid = cfg.coeffs.grid
+    if bfile.t.size != grid.n_steps or not np.allclose(bfile.t, grid.nodes[:-1]):
         raise artifacts.BoundaryFileError("boundary file grid does not match the config grid")
-    return BoundaryCurve(cfg.grid, bfile.yhat, bfile.residual, bfile.residual_se,
+    return BoundaryCurve(grid, bfile.yhat, bfile.residual, bfile.residual_se,
                          bfile.solver_se, bfile.iters, bfile.value_se, meta={"loaded": True})
 
 
@@ -105,7 +106,7 @@ def cmd_solve(args) -> int:
         log.info("sigma is identically zero: deterministic quadrature path")
     log.info("solve: %d nodes, %d residual evaluations for %d bisection steps, evaluator "
              "block/dense nodes %d/%d, block depth mean %.2f max %d, scrap tail skipped at %d",
-             cfg.grid.n_steps, meta["residual_evals"], int(curve.iters.sum()),
+             cfg.coeffs.grid.n_steps, meta["residual_evals"], int(curve.iters.sum()),
              meta["block_nodes"], meta["dense_nodes"], meta["block_depth_mean"],
              meta["block_depth_max"], meta["tail_skip_nodes"])
     out_csv = os.path.join(args.out, "boundary.csv")
@@ -126,7 +127,7 @@ def cmd_solve(args) -> int:
             "terminal_trend": "decreasing" if curve.values[-1] < curve.values[0] else "flat-or-increasing",
         },
     })
-    print(f"solved {cfg.grid.n_steps} nodes in {elapsed:.2f}s -> {out_csv}")
+    print(f"solved {cfg.coeffs.grid.n_steps} nodes in {elapsed:.2f}s -> {out_csv}")
     return EXIT_OK
 
 
@@ -155,7 +156,7 @@ def cmd_simulate(args) -> int:
         # copies, so that no view keeps a block's matrices alive
         spent.append(plans.nu[:, -1].copy())
         jumps.append(plans.nubar[:, 1].copy())
-    rate = float(np.mean(np.concatenate(spent))) / cfg.grid.horizon
+    rate = float(np.mean(np.concatenate(spent))) / cfg.coeffs.grid.horizon
     j_const = []
     for block in row_blocks(batch):
         with _stage(timings, "profit"):
@@ -178,11 +179,11 @@ def cmd_simulate(args) -> int:
         return np.broadcast_to(a[:rows], (rows, a.shape[1]))
 
     artifacts.write_controls_csv(
-        os.path.join(args.out, "controls.csv"), cfg.grid,
+        os.path.join(args.out, "controls.csv"), cfg.coeffs.grid,
         PlanBatch(args.y, dump(plans.nubar), dump(plans.nu)), dump(cap))
     outputs = ["controls.csv"]
     if args.dump_paths:
-        artifacts.write_paths_csv(os.path.join(args.out, "paths.csv"), cfg.grid,
+        artifacts.write_paths_csv(os.path.join(args.out, "paths.csv"), cfg.coeffs.grid,
                                   dataclasses.replace(batch, values=dump(batch.values)))
         outputs.append("paths.csv")
     artifacts.write_manifest(os.path.join(args.out, "manifest.json"), {
@@ -209,9 +210,9 @@ def _default_lattice(cfg: RunConfig, curve: BoundaryCurve) -> Lattice:
     if cfg.lattice is not None:
         return cfg.lattice
     lo = float(np.min(curve.values)) / 8.0
-    spread = float(np.exp(4.0 * np.max(cfg.coeffs.sigma) * np.sqrt(cfg.grid.horizon)))
+    spread = float(np.exp(4.0 * np.max(cfg.coeffs.sigma) * np.sqrt(cfg.coeffs.grid.horizon)))
     hi = float(np.max(curve.values)) * max(4.0, spread)
-    return Lattice.geometric(cfg.grid, lo, hi, 200)
+    return Lattice.geometric(lo, hi, 200)
 
 
 def cmd_verify(args) -> int:
@@ -282,7 +283,7 @@ def cmd_oracle(args) -> int:
     _log_stages("oracle", timings)
     timings["oracle_s"] = time.perf_counter() - t0
     out_csv = os.path.join(args.out, "dp_boundary.csv")
-    artifacts.write_dp_boundary_csv(out_csv, cfg.grid, sdp.boundary, vdp.boundary)
+    artifacts.write_dp_boundary_csv(out_csv, cfg.coeffs.grid, sdp.boundary, vdp.boundary)
     artifacts.write_manifest(os.path.join(args.out, "report.json"), {
         "command": "oracle",
         "config_hash": cfg.config_hash,
@@ -373,6 +374,9 @@ def main(argv=None) -> int:
     except artifacts.BoundaryFileError as exc:
         print(f"boundary file error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except MemoryError as exc:
+        print(f"cannot allocate memory for this run: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         # unreadable inputs raise the errors above, so this one came from the outputs
         print(f"cannot write outputs: {exc}", file=sys.stderr)

@@ -54,7 +54,6 @@ def _require_keys(section: str, data: dict, allowed: set, required: set = frozen
 @dataclass(frozen=True)
 class RunConfig:
     raw: dict
-    grid: TimeGrid
     coeffs: CoefficientSet
     production: object
     scrap: object
@@ -77,7 +76,7 @@ class RunConfig:
         # still accept those files
         coefficients["f_C_prime"] = _central_differences(c.grid.nodes, c.f_C).tolist()
         return _digest({
-            "grid": self.grid.nodes.tolist(),
+            "grid": c.grid.nodes.tolist(),
             "coefficients": coefficients,
             "eps_o": DISCOUNT_FLOOR,
             "bounds": {},
@@ -147,7 +146,7 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(antithetic, bool):
         raise ConfigError(f"mc.antithetic: expected true or false, got {antithetic!r}")
     mc = checked_mc(_number("mc", "paths", msec.get("paths", 20000), int),
-                    _number("mc", "seed", msec.get("seed", 0), int), antithetic)
+                    _number("mc", "seed", msec.get("seed", 0), int), antithetic, n_steps)
 
     lattice = raw.get("lattice")
     if lattice is not None:
@@ -155,18 +154,23 @@ def parse_config(raw: dict) -> RunConfig:
         y_range = [_number("lattice", k, lattice[k], float) for k in ("y_min", "y_max")]
         nodes = _number("lattice", "nodes", lattice.get("nodes", 200), int)
         try:
-            lattice = Lattice.geometric(grid, *y_range, nodes)
+            lattice = Lattice.geometric(*y_range, nodes)
         except ValueError as exc:
             raise ConfigError(f"lattice: {exc}") from exc
 
-    return RunConfig(raw=raw, grid=grid, coeffs=coeffs, production=production, scrap=scrap,
+    return RunConfig(raw=raw, coeffs=coeffs, production=production, scrap=scrap,
                      solver=solver, mc=mc, lattice=lattice, cross_gap=tol["cross_gap"])
 
 
-def checked_mc(n_paths: int, seed: int, antithetic: bool) -> McConfig:
-    """Monte-Carlo settings, rejecting counts and seeds the generators cannot take."""
+def checked_mc(n_paths: int, seed: int, antithetic: bool, n_steps: int) -> McConfig:
+    """Monte-Carlo settings, rejecting counts and seeds the generators cannot
+    take and path counts whose decay matrix on ``n_steps`` steps, rows
+    rounded up to even when antithetic, no array can hold."""
     if n_paths < 1 or seed < 0:
         raise ConfigError(f"mc: need paths >= 1 and seed >= 0, got {n_paths} and {seed}")
+    rows = 2 * ((n_paths + 1) // 2) if antithetic else n_paths
+    if rows * (n_steps + 1) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise ConfigError(f"mc: {n_paths} paths on {n_steps} steps exceed the largest array")
     return McConfig(n_paths=n_paths, seed=seed, antithetic=antithetic)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoefficientSet, TimeGrid, _freeze
+from .model import CoefficientSet, _freeze
 
 MEASURE_P = "P"
 MEASURE_Q = "Q"
@@ -58,15 +58,14 @@ def gaussian_matrix(seed: int, purpose: str, shape: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Paths sharing grid, measure and generator stream.
+    """Paths sharing measure and generator stream.
 
-    ``values`` has one row per path and one column per node from t = 0 to
-    the horizon.  With ``antithetic`` the second half of the rows mirrors
-    the Gaussian draws of the first half.  A volatility-free batch has a
-    single row that stands for every path.
+    ``values`` has one row per path and one column per node of the grid of
+    the coefficients it was drawn from.  With ``antithetic`` the second half
+    of the rows mirrors the Gaussian draws of the first half.  A
+    volatility-free batch has a single row that stands for every path.
     """
 
-    grid: TimeGrid
     values: np.ndarray
     measure: str
     antithetic: bool = True
@@ -164,7 +163,7 @@ def simulate(coeffs: CoefficientSet, n: int, measure: str = MEASURE_P, seed: int
     if n < 1:
         raise ValueError("need at least one path")
     vals = sample_decay(coeffs, n, measure, seed, "simulate", antithetic)
-    return PathBatch(coeffs.grid, vals, measure, antithetic)
+    return PathBatch(vals, measure, antithetic)
 
 
 def running_sup_matrix(values: np.ndarray, curve_tail: np.ndarray) -> np.ndarray:

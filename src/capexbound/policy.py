@@ -51,7 +51,16 @@ class PlanBatch:
 
 def build_controls(curve: BoundaryCurve, batch: PathBatch, y: float,
                    coeffs: CoefficientSet) -> PlanBatch:
-    """Vectorized tracking policy over a batch of paths."""
+    """Vectorized tracking policy over a batch of paths on ``coeffs.grid``.
+
+    Raises ValueError when ``curve`` was solved on another grid: its nodes
+    would be read as the model's, and every check downstream would judge
+    the wrong boundary.
+    """
+    solved, model = curve.grid, coeffs.grid
+    if not np.array_equal(solved.nodes, model.nodes):
+        raise ValueError(f"boundary solved on {solved.n_steps} steps to T = {solved.horizon:g}, "
+                         f"model has {model.n_steps} steps to T = {model.horizon:g}")
     # capacity >= y * decay, and decay starts at one, so an empty batch checks y
     # alone; a product of Python floats overflows without a warning
     if not 0.0 < float(y) * float(np.max(batch.values, initial=1.0)) < np.inf:
@@ -73,7 +82,7 @@ def controlled_capacity(path_values: np.ndarray, plan) -> np.ndarray:
 
 def profit(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
            batch: PathBatch, plans: PlanBatch) -> np.ndarray:
-    """Per-path discounted profit plus scrap, net of investment.
+    """Per-path discounted profit plus scrap, net of investment, on ``coeffs.grid``.
 
     Each path's value is its discounted running profit at the controlled
     capacity, accumulated with left-frozen integrands and exact per-step
@@ -85,7 +94,7 @@ def profit(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
         raise ValueError("profit expects paths under the physical measure")
     if plans.nubar.shape != batch.values.shape:
         raise ValueError("plan and path batch have mismatched shapes")
-    grid = batch.grid
+    grid = coeffs.grid
     n = grid.n_steps
     masses, terminal = discount_step_masses(grid, coeffs.mu_F, 0)
     # the capacity prevailing on each open step interval includes the action
@@ -108,6 +117,6 @@ def zero_plan(batch, y: float) -> PlanBatch:
 
 def constant_rate_plan(coeffs: CoefficientSet, batch, y: float, rate: float) -> PlanBatch:
     """Benchmark policy spending at a constant rate: nu(t) = rate * t."""
-    nu = np.broadcast_to(rate * batch.grid.nodes, batch.values.shape).copy()
+    nu = np.broadcast_to(rate * coeffs.grid.nodes, batch.values.shape).copy()
     # capacity additions funded by each spending increment at the left node
     return PlanBatch(y, _left_sum(coeffs.f_C[:-1][None, :] / batch.values[:, :-1], nu), nu)

@@ -26,7 +26,6 @@ from .model import (
     CoefficientSet,
     ProductionSpec,
     ScrapSpec,
-    TimeGrid,
     _central_differences,
     _freeze,
     cumulative_integral,
@@ -49,9 +48,8 @@ class LatticeRangeError(RuntimeError):
 
 @dataclass(frozen=True)
 class Lattice:
-    """Geometric capacity nodes shared across all time slices."""
+    """Geometric capacity nodes shared by all time slices of ``coeffs.grid``."""
 
-    grid: TimeGrid
     y_nodes: np.ndarray
 
     def __post_init__(self):
@@ -61,10 +59,10 @@ class Lattice:
             raise ValueError("lattice needs at least 3 increasing positive nodes")
 
     @classmethod
-    def geometric(cls, grid: TimeGrid, y_min: float, y_max: float, n_nodes: int) -> "Lattice":
+    def geometric(cls, y_min: float, y_max: float, n_nodes: int) -> "Lattice":
         if not 0 < y_min < y_max:
             raise ValueError("lattice bounds must satisfy 0 < y_min < y_max")
-        return cls(grid, np.geomspace(y_min, y_max, n_nodes))
+        return cls(np.geomspace(y_min, y_max, n_nodes))
 
     @property
     def log_nodes(self) -> np.ndarray:
@@ -97,16 +95,16 @@ def _expectation(log_nodes: np.ndarray, shifts: np.ndarray, probs: np.ndarray):
 
 def _backward(coeffs: CoefficientSet, lattice: Lattice, measure: str, rate: np.ndarray,
               flow_fn, prod: ProductionSpec, terminal: np.ndarray, slice_rule) -> np.ndarray:
-    """One backward recursion on the lattice: slice i is ``slice_rule(i,
-    f_i a_i + b_i E[slice i+1])`` with the flow f_i = ``flow_fn`` on slice i
-    and the step mass a_i and one-step discount b_i of ``rate``."""
-    n = lattice.grid.n_steps
+    """One backward recursion on the lattice over the steps of ``coeffs.grid``:
+    slice i is ``slice_rule(i, f_i a_i + b_i E[slice i+1])`` with the flow f_i =
+    ``flow_fn`` on slice i and the step mass a_i and one-step discount b_i of ``rate``."""
+    n = coeffs.grid.n_steps
     logy = lattice.log_nodes
     # one production call for all slices; a synthetic marginal ignores w and
     # r and returns a single row
     flow = np.broadcast_to(flow_fn(prod, lattice.y_nodes, coeffs.w[:n, None],
                                    coeffs.r[:n, None]), (n, logy.size))
-    a, b = step_discounts(lattice.grid, rate)
+    a, b = step_discounts(coeffs.grid, rate)
     shifts, probs = trinomial_steps(coeffs, measure)
     # one expectation per distinct shift triple, shared by the slices that draw it
     triples, which = np.unique(shifts, axis=0, return_inverse=True)
@@ -147,7 +145,7 @@ def dp_stopping_value(coeffs: CoefficientSet, prod: ProductionSpec, scrap: Scrap
     each slice is the largest lattice node still in contact with the
     replacement cost.
     """
-    n = lattice.grid.n_steps
+    n = coeffs.grid.n_steps
     cap = 1.0 / coeffs.f_C[:n]
     v = _backward(coeffs, lattice, MEASURE_Q, coeffs.bar_mu, reduced_marginal_array, prod,
                   np.asarray(scrap.marginal(lattice.y_nodes), dtype=float),
@@ -174,7 +172,7 @@ def dp_value(coeffs: CoefficientSet, prod: ProductionSpec, scrap: ScrapSpec,
     Raises LatticeRangeError when the optimal install reaches the top node,
     which means the lattice truncates the decision.
     """
-    n = lattice.grid.n_steps
+    n = coeffs.grid.n_steps
     y = lattice.y_nodes
     inv_f = 1.0 / coeffs.f_C[:n]
 
@@ -300,7 +298,7 @@ class _FocWorkspace:
                  prod: ProductionSpec, scrap: ScrapSpec, batch: PathBatch):
         if batch.measure != MEASURE_P:
             raise ValueError("first-order conditions are evaluated under the physical measure")
-        grid = batch.grid
+        grid = coeffs.grid
         n = grid.n_steps
         self.plans = build_controls(curve, batch, y, coeffs)
         self.capacity = controlled_capacity(batch.values, self.plans)

@@ -91,7 +91,7 @@ def oracle_instance():
     scrap = cb.SaturatingExponential(0.5, 1.0)
     t0 = time.perf_counter()
     curve = cb.solve_boundary(coeffs, prod, scrap, mc=McConfig(n_paths=20000, seed=2))
-    lattice = Lattice.geometric(grid, float(curve.values.min()) / 8.0,
+    lattice = Lattice.geometric(float(curve.values.min()) / 8.0,
                                 float(curve.values.max()) * 4.0, 200)
     sdp = dp_stopping_value(coeffs, prod, scrap, lattice)
     vdp = dp_value(coeffs, prod, scrap, lattice)
@@ -219,8 +219,7 @@ def test_criterion_9_control_continuity_proxy(efficiency_instance):
     fine = efficiency_instance[120]
     coarse = efficiency_instance[60]
     batch_f = cb.simulate(fine["coeffs"], 20000, cb.MEASURE_P, seed=23)
-    batch_c = cb.PathBatch(coarse["grid"], batch_f.values[:, ::2], cb.MEASURE_P,
-                           antithetic=batch_f.antithetic)
+    batch_c = cb.PathBatch(batch_f.values[:, ::2], cb.MEASURE_P, antithetic=batch_f.antithetic)
     y = 0.9 * float(fine["curve"].values[0])
     inc_f = np.diff(cb.build_controls(fine["curve"], batch_f, y,
                                       fine["coeffs"]).nubar[:, 1:], axis=1)

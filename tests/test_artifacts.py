@@ -36,7 +36,7 @@ def test_paths_csv_carries_measure(tmp_path):
                                      mu_F=0.05, w=1.0, r=1.0)
     batch = cb.simulate(coeffs, 4, cb.MEASURE_Q, seed=1)
     path = tmp_path / "paths.csv"
-    write_paths_csv(str(path), grid, cb.PathBatch(grid, batch.values[:2], batch.measure))
+    write_paths_csv(str(path), grid, cb.PathBatch(batch.values[:2], batch.measure))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "path_id,t,value,measure"
     assert all(ln.endswith(",Q") for ln in lines[1:])
@@ -121,7 +121,7 @@ def test_row_writers_format_every_cell_with_fmt(tmp_path):
         ",".join([str(p), fmt(grid.nodes[k]), fmt(plans.nubar[p, k]), fmt(plans.nu[p, k]),
                   fmt(cap[p, k])]) for p in range(2) for k in range(cells.size)]
     assert (tmp_path / "c.csv").read_text() == "\n".join(expected) + "\n"
-    write_paths_csv(str(tmp_path / "p.csv"), grid, cb.PathBatch(grid, cap[:1], cb.MEASURE_Q))
+    write_paths_csv(str(tmp_path / "p.csv"), grid, cb.PathBatch(cap[:1], cb.MEASURE_Q))
     expected = ["path_id,t,value,measure"] + [
         ",".join(["0", fmt(grid.nodes[k]), fmt(cap[0, k]), "Q"]) for k in range(cells.size)]
     assert (tmp_path / "p.csv").read_text() == "\n".join(expected) + "\n"

@@ -50,7 +50,7 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
 class TestConfigParsing:
     def test_good_config(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, STOCHASTIC))
-        assert cfg.grid.n_steps == 25
+        assert cfg.coeffs.grid.n_steps == 25
         assert cfg.mc.n_paths == 3000
         assert len(cfg.config_hash) == 64
         assert cfg.model_hash != cfg.config_hash

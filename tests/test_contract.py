@@ -471,8 +471,11 @@ def test_out_naming_a_file_exits_2(solved_small, tmp_path, capsys):
     (["verify", "--y", "1.7e308"], {}, 2),
     # the optimal install hits the top lattice node
     (["oracle"], {"lattice": {"y_min": 1, "y_max": 2, "nodes": 11}}, 2),
+    # 10^20 paths are more rows than any array dimension holds
+    (["solve"], {"mc": {"paths": 10 ** 20}}, 2),
+    (["simulate", "--y", "0.5", "--paths", str(10 ** 20)], {}, 2),
 ], ids=["negative-sigma", "decay-overflow", "simulate-huge-y", "verify-huge-y",
-        "oracle-lattice-top"])
+        "oracle-lattice-top", "solve-paths-beyond-arrays", "simulate-paths-beyond-arrays"])
 def test_failed_command_leaves_no_out(solved_small, tmp_path, argv, config, code):
     # --out is made by the first write, so a command that fails before it
     # exits with its own code, also when --out names a file, and leaves nothing
@@ -485,6 +488,32 @@ def test_failed_command_leaves_no_out(solved_small, tmp_path, argv, config, code
     for out in (taken, fresh):
         assert cli.main([*argv, "--config", cfg, "--out", str(out)]) == code, out.name
     assert taken.read_text() == "keep" and not fresh.exists()
+
+
+def _no_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+
+# each run's first large allocation raises as numpy does when it is refused:
+# a request that large can be granted lazily and would then really be paid
+@pytest.mark.parametrize("argv,config,target", [
+    (["solve"], {"grid": {"T": 1.0, "N": 10 ** 13}}, "capexbound.model.TimeGrid.uniform"),
+    (["solve"], {"mc": {"paths": 10 ** 11, "seed": 1}}, "capexbound.boundary.sample_decay"),
+    (["simulate", "--y", "0.5", "--paths", str(10 ** 11)], {}, "capexbound.cli.simulate"),
+    (["oracle"], {"lattice": {"y_min": 1e3, "y_max": 1e6, "nodes": 10 ** 12}},
+     "capexbound.verify.Lattice.geometric"),
+], ids=["solve-huge-N", "solve-huge-paths", "simulate-huge-paths", "oracle-huge-lattice"])
+def test_run_too_large_to_allocate_exits_2(solved_small, tmp_path, capsys, monkeypatch,
+                                           argv, config, target):
+    d, _, _ = solved_small
+    cfg = write_cfg(tmp_path, dict(SMALL, **config))
+    if argv[0] == "simulate":
+        argv = argv + ["--boundary", os.path.join(d, "solve", "boundary.csv")]
+    monkeypatch.setattr(target, _no_memory)
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("cannot allocate memory for this run: ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def reference_b(grid, rate, i):
 
 
 def reference_stopping(coeffs, prod, scrap, lattice):
-    grid = lattice.grid
+    grid = coeffs.grid
     n = grid.n_steps
     y = lattice.y_nodes
     logy = lattice.log_nodes
@@ -75,7 +75,7 @@ def reference_stopping(coeffs, prod, scrap, lattice):
 
 
 def reference_value(coeffs, prod, scrap, lattice):
-    grid = lattice.grid
+    grid = coeffs.grid
     n = grid.n_steps
     y = lattice.y_nodes
     logy = lattice.log_nodes
@@ -167,6 +167,16 @@ def _readme():
             (0.8, 2.4e5, 200))
 
 
+def _readme_t5():
+    # a horizon other than 1, so a step is 0.125 and not 1/N: the DPs must
+    # take their step lengths from the coefficients' grid
+    grid = cb.TimeGrid.uniform(5.0, 40)
+    coeffs = cb.CoefficientSet.build(grid, mu_C=0.1, sigma=0.2, f_C=1.0, mu_F=0.05,
+                                     w=1.0, r=1.0)
+    return (coeffs, cb.CobbDouglas(0.25, 0.25, 0.25), cb.SaturatingExponential(0.5, 1.0),
+            (0.8, 4e6, 200))
+
+
 def _binding_box():
     grid = cb.TimeGrid.uniform(1.0, 8)
     coeffs = cb.CoefficientSet.build(grid, mu_C=0.1, sigma=0.2, f_C=1.0, mu_F=0.05,
@@ -196,14 +206,15 @@ def _zero_rate_steps():
             (1e-3, 50.0, 120))
 
 
-INSTANCES = {"closed_form": _closed_form, "readme": _readme, "binding_box": _binding_box,
-             "time_varying": _time_varying, "zero_rate_steps": _zero_rate_steps}
+INSTANCES = {"closed_form": _closed_form, "readme": _readme, "readme_t5": _readme_t5,
+             "binding_box": _binding_box, "time_varying": _time_varying,
+             "zero_rate_steps": _zero_rate_steps}
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_dps_match_per_node_reference_bit_for_bit(name):
     coeffs, prod, scrap, (y_min, y_max, nodes) = INSTANCES[name]()
-    lattice = Lattice.geometric(coeffs.grid, y_min, y_max, nodes)
+    lattice = Lattice.geometric(y_min, y_max, nodes)
     sdp = dp_stopping_value(coeffs, prod, scrap, lattice)
     v, boundary = reference_stopping(coeffs, prod, scrap, lattice)
     assert sdp.v.tobytes() == v.tobytes()
@@ -227,7 +238,7 @@ def test_time_varying_box_binds_on_some_slices_only():
 def test_truncation_raised_as_by_reference():
     coeffs, _, scrap, _ = _closed_form()
     prod = cb.power_marginal(5.0, 1.0)
-    lattice = Lattice.geometric(coeffs.grid, 0.01, 0.05, 12)
+    lattice = Lattice.geometric(0.01, 0.05, 12)
     with pytest.raises(LatticeRangeError):
         reference_value(coeffs, prod, scrap, lattice)
     with pytest.raises(LatticeRangeError):
@@ -241,7 +252,7 @@ def test_truncation_edge_matches_reference():
 
     def raises(dp, y_max):
         try:
-            dp(coeffs, prod, scrap, Lattice.geometric(coeffs.grid, 1e-3, y_max, 40))
+            dp(coeffs, prod, scrap, Lattice.geometric(1e-3, y_max, 40))
         except LatticeRangeError:
             return True
         return False

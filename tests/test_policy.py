@@ -16,7 +16,7 @@ def flat_curve(grid, values):
 
 def unit_batch(grid):
     """One path with no decay, so capacity moves only through the plan."""
-    return cb.PathBatch(grid, np.ones((1, grid.nodes.size)), cb.MEASURE_P, antithetic=False)
+    return cb.PathBatch(np.ones((1, grid.nodes.size)), cb.MEASURE_P, antithetic=False)
 
 
 ZERO_PROD = SyntheticMarginal(power_scale=0.0, power_exponent=0.0)
@@ -36,6 +36,19 @@ class TestBuildControl:
         curve = flat_curve(grid, [2.0, 1.5, 1.8])
         plans = cb.build_controls(curve, unit_batch(grid), 1.0, coeffs)
         assert np.allclose(plans.nubar[0], [0.0, 1.0, 1.0, 1.0])
+
+    def test_boundary_from_another_grid_is_refused(self):
+        # the same step count on another horizon: unchecked, the curve's nodes
+        # were read as the model's and check_foc reported a wrong boundary
+        solved_on = cb.TimeGrid.uniform(1.0, 20)
+        coeffs = simple_coeffs(cb.TimeGrid.uniform(2.0, 20))
+        curve = flat_curve(solved_on, np.ones(20))
+        batch = cb.simulate(coeffs, 64, cb.MEASURE_P, seed=1)
+        message = "boundary solved on 20 steps to T = 1, model has 20 steps to T = 2"
+        with pytest.raises(ValueError, match=message):
+            cb.build_controls(curve, batch, 0.5, coeffs)
+        with pytest.raises(ValueError, match=message):
+            cb.check_foc(curve, [0.5], coeffs, ZERO_PROD, cb.ZeroScrap(), batch)
 
     def test_never_invest_above_boundary(self):
         grid = cb.TimeGrid.uniform(1.0, 3)
@@ -217,8 +230,7 @@ class TestContinuityProxy:
         curve_f = cb.solve_boundary(coeffs_f, prod, scrap, mc=McConfig(n_paths=3000, seed=12))
         curve_c = cb.solve_boundary(coeffs_c, prod, scrap, mc=McConfig(n_paths=3000, seed=12))
         batch_f = cb.simulate(coeffs_f, 4000, cb.MEASURE_P, seed=13)
-        batch_c = cb.PathBatch(grid_c, batch_f.values[:, ::2], cb.MEASURE_P,
-                               antithetic=batch_f.antithetic)
+        batch_c = cb.PathBatch(batch_f.values[:, ::2], cb.MEASURE_P, antithetic=batch_f.antithetic)
         y = 0.9 * curve_f.values[0]
         inc_f = np.diff(cb.build_controls(curve_f, batch_f, y, coeffs_f).nubar[:, 1:], axis=1)
         inc_c = np.diff(cb.build_controls(curve_c, batch_c, y, coeffs_c).nubar[:, 1:], axis=1)

@@ -22,7 +22,7 @@ def readme_block(language):
 
 def test_config_block_parses():
     cfg = parse_config(json.loads(readme_block("json")))
-    assert cfg.grid.n_steps == 100
+    assert cfg.coeffs.grid.n_steps == 100
 
 
 def test_library_block_runs():

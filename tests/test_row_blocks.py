@@ -56,7 +56,7 @@ def test_row_blocks_are_ordered_views(monkeypatch, n_rows, sizes):
     monkeypatch.setattr(paths, "BLOCK_ROWS", 64)
     grid = TimeGrid.uniform(1.0, 3)
     values = np.arange(n_rows * 4.0).reshape(n_rows, 4)
-    batch = paths.PathBatch(grid, values, paths.MEASURE_P, antithetic=False)
+    batch = paths.PathBatch(values, paths.MEASURE_P, antithetic=False)
     blocks = list(paths.row_blocks(batch))
     assert [b.n_paths for b in blocks] == sizes
     assert all(np.shares_memory(b.values, batch.values) for b in blocks)

@@ -100,7 +100,7 @@ def test_tracking_profit_is_the_dp_value():
     # its change from 800 to 1600 nodes bounds the lattice error at 1600
     values = []
     for nodes in (800, 1600):
-        lattice = Lattice.geometric(coeffs.grid, float(curve.values.min()) / 8.0,
+        lattice = Lattice.geometric(float(curve.values.min()) / 8.0,
                                     4.0 * float(curve.values.max()), nodes)
         value = dp_value(coeffs, prod, scrap, lattice).V[0]
         values.append(float(np.interp(np.log(y), lattice.log_nodes, value)))

@@ -58,7 +58,7 @@ def test_foc_holds(varying):
 
 def test_lattice_oracle_agrees(varying):
     v = varying
-    lat = Lattice.geometric(v["grid"], float(v["curve"].values.min()) / 8.0,
+    lat = Lattice.geometric(float(v["curve"].values.min()) / 8.0,
                             float(v["curve"].values.max()) * 4.0, 200)
     sdp = dp_stopping_value(v["coeffs"], v["prod"], v["scrap"], lat)
     rep = cross_validate(v["curve"], sdp)

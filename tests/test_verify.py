@@ -57,10 +57,9 @@ class TestTrinomial:
             assert np.allclose(second, var, rtol=1e-12)
 
     def test_lattice_validation(self):
-        grid = cb.TimeGrid.uniform(1.0, 4)
         with pytest.raises(ValueError):
-            Lattice.geometric(grid, 1.0, 0.5, 10)
-        lat = Lattice.geometric(grid, 0.1, 10.0, 7)
+            Lattice.geometric(1.0, 0.5, 10)
+        lat = Lattice.geometric(0.1, 10.0, 7)
         assert lat.y_nodes.size == 7
 
 
@@ -68,7 +67,7 @@ class TestStoppingDP:
     def test_stop_branch_bound(self):
         grid = cb.TimeGrid.uniform(1.0, 10)
         coeffs = coeffs_for(grid)
-        lat = Lattice.geometric(grid, 0.01, 10.0, 60)
+        lat = Lattice.geometric(0.01, 10.0, 60)
         sdp = dp_stopping_value(coeffs, cb.power_marginal(0.3, 1.0),
                                 cb.SaturatingExponential(0.5, 1.0), lat)
         inv_f = 1.0 / coeffs.f_C[:-1]
@@ -76,7 +75,7 @@ class TestStoppingDP:
 
     def test_closed_form_boundary_within_cell(self):
         grid, coeffs, prod, scrap, curve = closed_form_instance(60)
-        lat = Lattice.geometric(grid, 1e-4, 4.0, 400)
+        lat = Lattice.geometric(1e-4, 4.0, 400)
         sdp = dp_stopping_value(coeffs, prod, scrap, lat)
         truth = 1.0 - np.exp(-(1.0 - grid.nodes[:-1]))
         cell = np.log(lat.y_nodes[1] / lat.y_nodes[0])
@@ -87,7 +86,7 @@ class TestStoppingDP:
     def test_v_non_increasing_in_y(self):
         grid = cb.TimeGrid.uniform(1.0, 12)
         coeffs = coeffs_for(grid)
-        lat = Lattice.geometric(grid, 0.01, 20.0, 80)
+        lat = Lattice.geometric(0.01, 20.0, 80)
         sdp = dp_stopping_value(coeffs, cb.power_marginal(0.3, 1.0),
                                 cb.SaturatingExponential(0.5, 1.0), lat)
         assert np.all(np.diff(sdp.v, axis=1) <= 1e-12)
@@ -95,7 +94,7 @@ class TestStoppingDP:
     def test_v_strictly_decreasing_above_boundary(self):
         grid = cb.TimeGrid.uniform(1.0, 12)
         coeffs = coeffs_for(grid)
-        lat = Lattice.geometric(grid, 0.01, 20.0, 80)
+        lat = Lattice.geometric(0.01, 20.0, 80)
         sdp = dp_stopping_value(coeffs, cb.power_marginal(0.3, 1.0),
                                 cb.SaturatingExponential(0.5, 1.0), lat)
         for i in (0, 5):
@@ -110,7 +109,7 @@ class TestStoppingDP:
         rep = cb.validate(coeffs, cb.power_marginal(0.15, 1.0),
                           cb.SaturatingExponential(0.5, 1.0))
         assert rep.efficiency_ok
-        lat = Lattice.geometric(grid, 0.005, 5.0, 120)
+        lat = Lattice.geometric(0.005, 5.0, 120)
         sdp = dp_stopping_value(coeffs, cb.power_marginal(0.15, 1.0),
                                 cb.SaturatingExponential(0.5, 1.0), lat)
         inv_f = 1.0 / coeffs.f_C[:-1]
@@ -123,7 +122,7 @@ class TestValueDP:
     def test_no_profit_motive(self):
         grid = cb.TimeGrid.uniform(1.0, 8)
         coeffs = coeffs_for(grid)
-        lat = Lattice.geometric(grid, 0.1, 10.0, 40)
+        lat = Lattice.geometric(0.1, 10.0, 40)
         vdp = dp_value(coeffs, ZERO_PROD, cb.ZeroScrap(), lat)
         assert np.allclose(vdp.V, 0.0)
 
@@ -131,7 +130,7 @@ class TestValueDP:
         grid = cb.TimeGrid.uniform(0.5, 1)
         coeffs = coeffs_for(grid, sigma=0.25, mu_C=0.1, mu_F=0.08, f_C=0.7)
         scrap = cb.SaturatingExponential(0.8, 1.2)
-        lat = Lattice.geometric(grid, 0.05, 8.0, 50)
+        lat = Lattice.geometric(0.05, 8.0, 50)
         vdp = dp_value(coeffs, ZERO_PROD, scrap, lat)
         shifts, probs = trinomial_steps(coeffs, MEASURE_P)
         b = np.exp(-0.5 * (coeffs.mu_F[0] + coeffs.mu_F[1]) * grid.deltas[0])
@@ -150,7 +149,7 @@ class TestValueDP:
     def test_range_violation(self):
         grid = cb.TimeGrid.uniform(1.0, 3)
         coeffs = coeffs_for(grid)
-        lat = Lattice.geometric(grid, 0.01, 0.05, 12)
+        lat = Lattice.geometric(0.01, 0.05, 12)
         with pytest.raises(LatticeRangeError):
             dp_value(coeffs, cb.power_marginal(5.0, 1.0),
                      cb.SaturatingExponential(0.5, 1.0), lat)
@@ -158,7 +157,7 @@ class TestValueDP:
     def test_marginal_capped_by_replacement_cost(self):
         grid = cb.TimeGrid.uniform(1.0, 10)
         coeffs = coeffs_for(grid)
-        lat = Lattice.geometric(grid, 0.02, 10.0, 100)
+        lat = Lattice.geometric(0.02, 10.0, 100)
         vdp = dp_value(coeffs, cb.power_marginal(0.3, 1.0),
                        cb.SaturatingExponential(0.5, 1.0), lat)
         inv_f = 1.0 / coeffs.f_C[:-1]
@@ -171,7 +170,7 @@ class TestShadowValue:
         coeffs = coeffs_for(grid, mu_C=0.05, sigma=0.1, mu_F=0.05)
         prod = cb.power_marginal(0.2, 1.0)
         scrap = cb.SaturatingExponential(0.5, 1.0)
-        lat = Lattice.geometric(grid, 0.002, 4.0, 200)
+        lat = Lattice.geometric(0.002, 4.0, 200)
         sdp = dp_stopping_value(coeffs, prod, scrap, lat)
         vdp = dp_value(coeffs, prod, scrap, lat)
         gap, _ = shadow_value_gap(vdp, sdp, margin=8)
@@ -181,7 +180,7 @@ class TestShadowValue:
 class TestCrossValidate:
     def test_closed_form_gap_small(self):
         grid, coeffs, prod, scrap, curve = closed_form_instance(40)
-        lat = Lattice.geometric(grid, 1e-4, 4.0, 300)
+        lat = Lattice.geometric(1e-4, 4.0, 300)
         sdp = dp_stopping_value(coeffs, prod, scrap, lat)
         rep = cross_validate(curve, sdp)
         # exclude the very last nodes where the boundary collapses to the cell size
@@ -191,7 +190,7 @@ class TestCrossValidate:
         grid, coeffs, prod, scrap, curve = closed_form_instance(40)
         gaps = []
         for nodes in (60, 240):
-            lat = Lattice.geometric(grid, 1e-4, 4.0, nodes)
+            lat = Lattice.geometric(1e-4, 4.0, nodes)
             sdp = dp_stopping_value(coeffs, prod, scrap, lat)
             gaps.append(np.max(cross_validate(curve, sdp).per_node_rel_gap[:-4]))
         assert gaps[1] < gaps[0]
@@ -199,7 +198,7 @@ class TestCrossValidate:
     def test_grid_mismatch_rejected(self):
         grid, coeffs, prod, scrap, curve = closed_form_instance(40)
         other = cb.TimeGrid.uniform(1.0, 20)
-        lat = Lattice.geometric(other, 1e-4, 4.0, 50)
+        lat = Lattice.geometric(1e-4, 4.0, 50)
         sdp = dp_stopping_value(coeffs_for(other, mu_C=0.0, sigma=0.0, mu_F=1.0),
                                 prod, scrap, lat)
         with pytest.raises(ValueError):
@@ -301,7 +300,7 @@ class TestCheckFoc:
 def _dense_integrand(ws, y, coeffs, prod, scrap, batch):
     """The FOC integrand with the post-action marginal taken on every cell,
     where it equals the node marginal except on the cells where the plan acts."""
-    grid = batch.grid
+    grid = coeffs.grid
     n = grid.n_steps
     cum_c = cumulative_integral(grid, coeffs.mu_C)
     mart = batch.values * np.exp(cum_c)[None, :]
